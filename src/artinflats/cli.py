@@ -15,7 +15,6 @@ factors, so re-rendering the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -24,7 +23,6 @@ from artinflats.dihedral import OracleBudgetError
 from artinflats.polarisation import (
     RigidityError,
     check_rigidity,
-    diagonal_vertices,
     enumerate_admissible,
     induced,
     polarisation_from_json,
@@ -139,35 +137,11 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def girth_sweep(m: int, bound: int) -> tuple[int, int, int]:
-    """Drive the syntactic classifier against the oracle over every
-    alternating word with 2m syllables (4 for m = 2) and exponents in
-    {+-1..+-bound}.  Returns (total, trivial, agreements)."""
-    if not 2 <= m <= 6:
-        raise UsageError("m must be in 2..6")
-    if not 1 <= bound <= 3:
-        raise UsageError("exponent bound must be in 1..3")
-    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
-    exps = [e for k in range(1, bound + 1) for e in (k, -k)]
-    syllables = 4 if m == 2 else 2 * m
-    total = trivial = agree = 0
-    for combo in itertools.product(exps, repeat=syllables):
-        word = Word.from_letters(
-            (("s" if i % 2 == 0 else "t"), e) for i, e in enumerate(combo)
-        )
-        if m == 2:
-            matched = girth.classify_commutator(word) is not None
-        else:
-            matched = girth.classify(m, word) is not None
-        oracle = dihedral.is_trivial(pres, word)
-        total += 1
-        trivial += oracle
-        agree += matched == oracle
-    return total, trivial, agree
-
-
 def cmd_girth_sweep(args) -> int:
-    total, trivial, agree = girth_sweep(args.m, args.exponent_bound)
+    try:
+        total, trivial, agree = girth.girth_sweep(args.m, args.exponent_bound)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     pct = 100.0 * agree / total
     print(f"m={args.m} bound={args.exponent_bound}: {total} words, {trivial} trivial")
     print(f"classifier/oracle agreement {agree}/{total} ({pct:.1f}%)")
@@ -412,7 +386,9 @@ def cmd_prove(args) -> int:
     if cert is None:
         print("no certificate within budget", file=sys.stderr)
         return EXIT_BUDGET
-    assert replay(cert)
+    if not replay(cert):
+        print("found certificate FAILED to replay", file=sys.stderr)
+        return EXIT_VERIFY
     _emit(args, cert.to_json())
     if args.output:
         print(f"certificate: {len(cert.moves)} moves, {cert.start or 'e'} -> {cert.end or 'e'}")

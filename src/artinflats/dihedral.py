@@ -10,8 +10,17 @@ where each factor f_i is a *simple* element -- an alternating word of
 length strictly between 0 and m -- and each adjacent pair (f_i, f_{i+1})
 is left-weighted: the first letter of f_{i+1} equals the last letter of
 f_i, so no letter can migrate leftwards.  Simples are encoded as
-(start_letter, length) with letters 0 and 1; the two spellings of Delta
-and of the empty simple are collapsed to (0, m) and (0, 0).
+(start_letter, length) with letters 0 and 1 and 0 < length < m; Delta
+only ever appears as the power p, never as a factor.
+
+The normal form is built by multiplying on the right one letter at a
+time.  A positive letter either extends the last factor, opens a new
+factor (when it repeats the last letter), or completes Delta; then the
+last factor is dropped and, because  x Delta = Delta tau(x)  with tau
+the letter swap for odd m (the identity for even m), the factors left
+of it are twisted.  The twist is kept as a parity rather than applied.
+An inverse letter c^-1 is Delta^-1 L, where L is the simple of length
+m - 1 with L c = Delta.
 
 The second route is a breadth-first closure over raw letter strings
 under free cancellation, free insertion, and balanced relator rewrites
@@ -28,108 +37,58 @@ from functools import lru_cache
 
 from artinflats.presentation import INFINITY, ArtinPresentation, Word
 
-Simple = tuple[int, int]  # (start_letter, length), 0 <= length <= m
-
-IDENTITY_SIMPLE: Simple = (0, 0)
+Simple = tuple[int, int]  # (start_letter, length), 0 < length < m
 
 
-def _canon(s: Simple, m: int) -> Simple:
-    start, ln = s
-    if ln == 0:
-        return (0, 0)
-    if ln == m:
-        return (0, m)
-    return s
+class _Chain:
+    """Delta^power tau^twist(f_1 ... f_k), multiplied on the right in place.
 
-
-def _last(s: Simple, m: int) -> int:
-    """Last letter of a nonempty simple (Delta read in its (0, m) spelling)."""
-    start, ln = s
-    assert ln > 0
-    return start if ln % 2 == 1 else 1 - start
-
-
-def _tau(s: Simple, m: int, power: int) -> Simple:
-    """Conjugation by Delta^power.  Swaps the two letters iff m and power
-    are both odd; Delta and the identity are always fixed."""
-    start, ln = s
-    if ln == 0 or ln == m:
-        return _canon(s, m)
-    if m % 2 == 1 and power % 2 == 1:
-        return (1 - start, ln)
-    return s
-
-
-def _left_complement(s: Simple, m: int) -> Simple:
-    """The simple L with L * s = Delta."""
-    start, ln = s
-    if ln == 0:
-        return (0, m)
-    if ln == m:
-        return (0, 0)
-    # L has length m - ln and must end with the letter other than start.
-    want_last = 1 - start
-    if (m - ln) % 2 == 1:
-        return (want_last, m - ln)
-    return (1 - want_last, m - ln)
-
-
-def _renorm(x: Simple, y: Simple, m: int) -> tuple[Simple, Simple]:
-    """Slide letters from the front of y onto the back of x until the
-    pair is left-weighted (or y is exhausted / x is full)."""
-    while x[1] < m and y[1] > 0:
-        if y[1] == m:
-            # Delta can be spelled starting with either letter; pick the
-            # one x can absorb.
-            c = (1 - _last(x, m)) if x[1] > 0 else 0
-        else:
-            c = y[0]
-        if x[1] > 0 and c == _last(x, m):
-            break
-        x = (x[0] if x[1] else c, x[1] + 1)
-        y = (1 - c, y[1] - 1) if y[1] > 1 else (0, 0)
-    return _canon(x, m), _canon(y, m)
-
-
-def _normalise(factors: list[Simple], m: int) -> tuple[int, tuple[Simple, ...]]:
-    """Comb a factor list into (delta_power, left-weighted proper chain).
-
-    Repeated sweeps move letters (and whole Deltas) leftwards; each
-    sweep strictly decreases the total position-weighted letter count,
-    so the loop terminates at the unique normal form.
+    The factors are stored untwisted; letters are twisted on the way in
+    and the factors on the way out.
     """
-    work = [_canon(f, m) for f in factors if f[1] > 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            nx, ny = _renorm(work[i], work[i + 1], m)
-            if (nx, ny) != (work[i], work[i + 1]):
-                work[i], work[i + 1] = nx, ny
-                changed = True
-        if changed:
-            work = [f for f in work if f[1] > 0]
-    dpow = 0
-    while work and work[0][1] == m:
-        dpow += 1
-        work.pop(0)
-    return dpow, tuple(work)
 
+    __slots__ = ("m", "power", "twist", "factors")
 
-def _assemble(pieces: list[tuple[int, Simple]], m: int, tail_power: int = 0) -> tuple[int, tuple[Simple, ...]]:
-    """Normal form of  prod_i Delta^{d_i} f_i  followed by Delta^{tail_power}.
+    def __init__(self, m: int, power: int = 0, factors: tuple[Simple, ...] = ()):
+        self.m = m
+        self.power = power
+        self.twist = 0
+        self.factors = list(factors)
 
-    Delta powers are pushed to the front; a power passing a factor from
-    the right twists it by tau.
-    """
-    suffix = tail_power
-    gs: list[Simple] = []
-    for dpow, f in reversed(pieces):
-        gs.append(_tau(f, m, suffix))
-        suffix += dpow
-    gs.reverse()
-    extra, chain = _normalise(gs, m)
-    return suffix + extra, chain
+    def delta(self, n: int) -> None:
+        """Multiply by Delta^n, using  x Delta^n = Delta^n tau^n(x)."""
+        self.power += n
+        self.twist ^= n & self.m & 1
+
+    def push(self, letter: int, sign: int) -> None:
+        """Multiply by the letter (0 or 1) raised to sign (+1 or -1)."""
+        if sign < 0:
+            # c^-1 = Delta^-1 L, where L alternates for m - 1 letters and
+            # ends on 1 - c, so that L c = Delta.
+            self.delta(-1)
+            start = (1 - letter) ^ (self.m & 1)
+            for i in range(self.m - 1):
+                self.push(start ^ (i & 1), 1)
+            return
+        letter ^= self.twist
+        factors = self.factors
+        if factors:
+            start, ln = factors[-1]
+            if letter == start ^ (ln & 1):  # continues the alternation
+                if ln + 1 == self.m:
+                    factors.pop()
+                    self.delta(1)
+                else:
+                    factors[-1] = (start, ln + 1)
+                return
+        factors.append((letter, 1))
+
+    def normal_form(self, generators: tuple[str, str]) -> NormalForm:
+        t = self.twist
+        # tuple() of a list sizes the tuple exactly; of a generator it
+        # over-allocates, and the tuple free lists keep ~1.5 MiB of that
+        # on a sweep.
+        return NormalForm(generators, self.m, self.power, tuple([(s ^ t, ln) for s, ln in self.factors]))
 
 
 @dataclass(frozen=True)
@@ -192,17 +151,12 @@ def subpresentation(pres: ArtinPresentation, a: str, b: str) -> ArtinPresentatio
 def normal_form(pres: ArtinPresentation, word: Word) -> NormalForm:
     a, b, m = _require_dihedral(pres)
     index = {a: 0, b: 1}
-    pieces: list[tuple[int, Simple]] = []
+    chain = _Chain(m)
     for g, sign in word.letters():
         if g not in index:
             raise ValueError(f"letter {g!r} is not a generator")
-        letter = index[g]
-        if sign > 0:
-            pieces.append((0, (letter, 1)))
-        else:
-            pieces.append((-1, _left_complement((letter, 1), m)))
-    power, chain = _assemble(pieces, m)
-    return NormalForm((a, b), m, power, chain)
+        chain.push(index[g], sign)
+    return chain.normal_form((a, b))
 
 
 def is_trivial(pres: ArtinPresentation, word: Word) -> bool:
@@ -212,17 +166,21 @@ def is_trivial(pres: ArtinPresentation, word: Word) -> bool:
 def multiply(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     if (nf1.generators, nf1.m) != (nf2.generators, nf2.m):
         raise ValueError("normal forms over different presentations")
-    m = nf1.m
-    gs = [_tau(f, m, nf2.power) for f in nf1.factors] + list(nf2.factors)
-    extra, chain = _normalise(gs, m)
-    return NormalForm(nf1.generators, m, nf1.power + nf2.power + extra, chain)
+    chain = _Chain(nf1.m, nf1.power, nf1.factors)
+    chain.delta(nf2.power)
+    for start, ln in nf2.factors:
+        for i in range(ln):
+            chain.push(start ^ (i & 1), 1)
+    return chain.normal_form(nf1.generators)
 
 
 def invert(nf: NormalForm) -> NormalForm:
-    m = nf.m
-    pieces = [(-1, _left_complement(f, m)) for f in reversed(nf.factors)]
-    power, chain = _assemble(pieces, m, tail_power=-nf.power)
-    return NormalForm(nf.generators, m, power, chain)
+    chain = _Chain(nf.m)
+    for start, ln in reversed(nf.factors):
+        for i in reversed(range(ln)):
+            chain.push(start ^ (i & 1), -1)
+    chain.delta(-nf.power)
+    return chain.normal_form(nf.generators)
 
 
 def delta_word(pres: ArtinPresentation) -> Word:

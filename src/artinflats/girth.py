@@ -19,9 +19,11 @@ every cyclic rotation of which is again of that shape.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from artinflats.presentation import Word
+from artinflats import dihedral
+from artinflats.presentation import ArtinPresentation, Word
 
 
 class GirthPreconditionError(ValueError):
@@ -130,3 +132,33 @@ def classify_commutator(word: Word) -> CommutatorMatch | None:
 def minimum_boundary_syllables(m: int) -> int:
     """Syllable count below which only the empty word is trivial."""
     return 2 * m
+
+
+def girth_sweep(m: int, bound: int) -> tuple[int, int, int]:
+    """Drive the syntactic classifier against the Garside normal form over
+    every alternating word with 2m syllables (4 for m = 2) and exponents
+    in {+-1..+-bound}.  Returns (total, trivial, agreements).
+
+    Raises ValueError unless 2 <= m <= 6 and 1 <= bound <= 3.
+    """
+    if not 2 <= m <= 6:
+        raise ValueError("m must be in 2..6")
+    if not 1 <= bound <= 3:
+        raise ValueError("exponent bound must be in 1..3")
+    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+    exps = [e for k in range(1, bound + 1) for e in (k, -k)]
+    syllables = 4 if m == 2 else 2 * m
+    total = trivial = agree = 0
+    for combo in itertools.product(exps, repeat=syllables):
+        word = Word.from_letters(
+            (("s" if i % 2 == 0 else "t"), e) for i, e in enumerate(combo)
+        )
+        if m == 2:
+            matched = classify_commutator(word) is not None
+        else:
+            matched = classify(m, word) is not None
+        oracle = dihedral.is_trivial(pres, word)
+        total += 1
+        trivial += oracle
+        agree += matched == oracle
+    return total, trivial, agree

@@ -37,7 +37,8 @@ def _check_exponent(m: ExponentValue) -> ExponentValue:
 class ArtinPresentation:
     """Ordered generators plus a symmetric exponent table.
 
-    Pairs missing from the table default to INFINITY (no relation).
+    Pairs missing from the table default to INFINITY (no relation);
+    only finite exponents are stored.
     """
 
     def __init__(
@@ -53,16 +54,17 @@ class ArtinPresentation:
                 raise ValueError(f"bad generator name {g!r}")
         self.generators = gens
         self._index = {g: i for i, g in enumerate(gens)}
-        table: dict[frozenset[str], ExponentValue] = {}
+        seen: dict[frozenset[str], ExponentValue] = {}
         for (a, b), m in (exponents or {}).items():
             if a not in self._index or b not in self._index or a == b:
                 raise ValueError(f"bad generator pair ({a!r}, {b!r})")
             key = frozenset((a, b))
             m = _check_exponent(m)
-            if key in table and table[key] != m:
+            if seen.setdefault(key, m) != m:
                 raise ValueError(f"conflicting exponents for pair ({a}, {b})")
-            table[key] = m
-        self._table = table
+        # An infinite pair is stored as absent, so an explicit INFINITY,
+        # a JSON null and a missing pair all compare and hash equal.
+        self._table = {key: m for key, m in seen.items() if m != INFINITY}
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -134,10 +136,6 @@ class ArtinPresentation:
     @classmethod
     def from_json(cls, text: str) -> "ArtinPresentation":
         return cls.from_dict(json.loads(text))
-
-
-def dihedral_presentation(a: str = "s", b: str = "t", m: int = 3) -> ArtinPresentation:
-    return ArtinPresentation((a, b), {(a, b): m})
 
 
 @dataclass(frozen=True, order=True)
@@ -370,7 +368,3 @@ class Star(LanguageTemplate):
 
     def __repr__(self):
         return f"Star({self.part!r})"
-
-
-def enumerate_language(template: LanguageTemplate, exponent_bound: int, star_bound: int) -> set[Word]:
-    return template.enumerate(exponent_bound, star_bound)

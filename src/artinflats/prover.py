@@ -189,7 +189,10 @@ def apply_move(pres: ArtinPresentation, letters: tuple[Letter, ...], move: Move)
         return letters[:p] + (move.letter, _inv(move.letter)) + letters[p:]
     if move.kind == "relator":
         a, b = move.pair
-        rules = relator_rules(pres, a, b)
+        try:
+            rules = relator_rules(pres, a, b)
+        except (KeyError, ValueError) as exc:
+            raise ReplayError(f"relator move on pair ({a}, {b}): {exc.args[0]}") from None
         if not (0 <= move.variant < len(rules)):
             raise ReplayError(f"bad rule variant {move.variant}")
         u, v = rules[move.variant]

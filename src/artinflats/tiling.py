@@ -513,9 +513,6 @@ class Patch:
     def vertex_count(self) -> int:
         return len(self.positions)
 
-    def cells_of_pair(self, pair: tuple[str, str]) -> list[Cell]:
-        return [c for c in self.cells if c.pair == tuple(sorted(pair, key=self.generators.index))]
-
     def maximal_m(self) -> int:
         return max(c.m for c in self.cells)
 
@@ -564,25 +561,8 @@ class Patch:
             out.append(tuple(pos))
         return out
 
-    def cell_center2m(self, cell: Cell, anchor: Vec | None = None) -> Vec:
-        """Sum of the lifted boundary positions (2m times the centre).
-        With `anchor`, the lift starts from that plane position for
-        cell.vertices[0] instead of its reduced representative."""
-        lift = self.cell_lift(cell)
-        if anchor is not None:
-            base = self.positions[cell.vertices[0]]
-            dx, dy = anchor[0] - base[0], anchor[1] - base[1]
-            lift = [(x + dx, y + dy) for x, y in lift]
-        return (sum(p[0] for p in lift), sum(p[1] for p in lift))
-
     def opposite_position(self, cell: Cell, k: int) -> int:
         return (k + cell.m) % (2 * cell.m)
-
-    def direction_classes(self) -> dict[Vec, list[int]]:
-        out: dict[Vec, list[int]] = {}
-        for e in self.edges:
-            out.setdefault(e.direction_class, []).append(e.index)
-        return out
 
     def to_json(self) -> str:
         return json.dumps(

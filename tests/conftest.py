@@ -20,6 +20,16 @@ def m4():
 
 
 @pytest.fixture(scope="session")
+def m5():
+    return ArtinPresentation(("s", "t"), {("s", "t"): 5})
+
+
+@pytest.fixture(scope="session")
+def m6():
+    return ArtinPresentation(("s", "t"), {("s", "t"): 6})
+
+
+@pytest.fixture(scope="session")
 def e333():
     return presentation_for(TriangleType.E333)
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from artinflats import cli
-from artinflats.cli import girth_sweep
 from artinflats.dihedral import delta_word, identity_ball, is_trivial, normal_form, word_to_string
+from artinflats.girth import girth_sweep
 from artinflats.polarisation import (
     enumerate_admissible,
     induced,

@@ -131,6 +131,15 @@ def test_replay_rejects_tampering(run_cli, pres_files, tmp_path):
     bad.write_text(json.dumps(data))
     code, _, err = run_cli("replay", str(bad))
     assert code == 2 and "FAILED" in err
+    # a relator move on an unknown pair, then on a pair with no relation
+    data["moves"][0]["pos"] -= 1
+    move = next(m for m in data["moves"] if m["kind"] == "relator")
+    for generators, pair in ((["s", "t"], ["s", "x"]), (["r", "s", "t"], ["s", "r"])):
+        data["presentation"]["generators"] = generators
+        move["pair"] = pair
+        bad.write_text(json.dumps(data))
+        code, _, err = run_cli("replay", str(bad))
+        assert code == 2 and "FAILED" in err and "Traceback" not in err
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert run_cli("replay", str(garbage))[0] == 2

@@ -46,9 +46,9 @@ def test_braid_relation_is_the_garside_element(m3, m4):
     assert normal_form(m3, Word.parse("")).is_identity
 
 
-def test_normal_form_roundtrips_through_to_word(m2, m3, m4):
+def test_normal_form_roundtrips_through_to_word(m2, m3, m4, m5, m6):
     rng = random.Random(11)
-    for pres in (m2, m3, m4):
+    for pres in (m2, m3, m4, m5, m6):
         for _ in range(120):
             w = random_word(rng)
             nf = normal_form(pres, w)
@@ -56,9 +56,9 @@ def test_normal_form_roundtrips_through_to_word(m2, m3, m4):
             assert again == nf
 
 
-def test_multiply_and_invert_match_word_operations(m2, m3, m4):
+def test_multiply_and_invert_match_word_operations(m2, m3, m4, m5, m6):
     rng = random.Random(23)
-    for pres in (m2, m3, m4):
+    for pres in (m2, m3, m4, m5, m6):
         for _ in range(80):
             u, v = random_word(rng), random_word(rng)
             assert multiply(normal_form(pres, u), normal_form(pres, v)) == normal_form(pres, u * v)

@@ -96,6 +96,15 @@ def test_json_roundtrip():
     pres = ArtinPresentation(("s", "t", "r"), {("s", "t"): 6, ("t", "r"): 3, ("s", "r"): 2})
     back = ArtinPresentation.from_json(pres.to_json())
     assert back == pres
+    # an explicit INFINITY pair, a JSON null and an absent pair are one presentation
+    explicit = ArtinPresentation(("s", "t", "r"), {("s", "t"): 3, ("t", "r"): INFINITY})
+    absent = ArtinPresentation(("s", "t", "r"), {("s", "t"): 3})
+    null = ArtinPresentation.from_dict(
+        {"generators": ["s", "t", "r"], "exponents": [["s", "t", 3], ["t", "r", None]]}
+    )
+    for pres in (explicit, null):
+        assert ArtinPresentation.from_json(pres.to_json()) == pres
+        assert pres == absent and hash(pres) == hash(absent)
 
 
 # ---------------------------------------------------------------------------
