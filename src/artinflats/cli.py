@@ -511,9 +511,19 @@ def _add_patch_args(p) -> None:
     p.add_argument("--lattice", help="explicit lattice 'a,b;c,d' (overrides --scale)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_budget_args(p) -> None:
-    p.add_argument("--max-states", type=int, default=60_000)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-states", type=_positive_int, default=60_000)
+    p.add_argument("--max-len", type=_positive_int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:

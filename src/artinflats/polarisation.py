@@ -201,8 +201,10 @@ def allowed_classes(patch: Patch, cell: Cell, d: int) -> set[Vec]:
     p, q = d, d + cell.m
     cls_before = patch.edges[cell.edges[(p - 1) % n]].direction_class
     cls_after = patch.edges[cell.edges[p]].direction_class
-    assert cls_before == patch.edges[cell.edges[(q - 1) % n]].direction_class
-    assert cls_after == patch.edges[cell.edges[q % n]].direction_class
+    if cls_before != patch.edges[cell.edges[(q - 1) % n]].direction_class:
+        raise AssertionError(f"cell {cell.index}, diagonal {d}: edges before its endpoints differ in class")
+    if cls_after != patch.edges[cell.edges[q % n]].direction_class:
+        raise AssertionError(f"cell {cell.index}, diagonal {d}: edges after its endpoints differ in class")
     return {cls_before, cls_after}
 
 

@@ -21,6 +21,12 @@ moves.  Equality searches run bidirectionally and meet in the middle.
 Long conjugated words are handled by peeling the conjugator one letter
 at a time and shortening the core with small searches, which keeps the
 intermediate words short enough for the meet-in-the-middle step.
+
+Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
+with rank the generator's index in sorted order, so codes sort like the
+(g, s) letters they stand for and c ^ 1 is the inverse of c.  A
+transition only cancels at the junctions of the spliced-in window, and
+states are decoded back to letters only along a found chain.
 """
 
 from __future__ import annotations
@@ -348,25 +354,78 @@ def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tu
     return tuple(cur), tuple(moves)
 
 
+class _Rules:
+    """The balanced rules of a presentation over letter codes.
+
+    `pairs` holds, per finite pair in `finite_pairs` order, the pair,
+    its window length m, a dict from each window u to the variants
+    rewriting it, and per variant the codes of v and of the insert word
+    u v^-1.
+    """
+
+    def __init__(self, pres: ArtinPresentation):
+        self.letters = tuple((g, s) for g in sorted(pres.generators) for s in (-1, 1))
+        self.code = {letter: c for c, letter in enumerate(self.letters)}
+        self.pairs = []
+        for a, b in pres.finite_pairs():
+            rules = relator_rules(pres, a, b)
+            windows: dict[tuple[int, ...], list[int]] = {}
+            variants = []
+            for variant, (u, v) in enumerate(rules):
+                windows.setdefault(self.encode(u), []).append(variant)
+                variants.append((self.encode(v), self.encode(u + _inv_word(v))))
+            self.pairs.append(((a, b), len(rules[0][0]), windows, variants))
+
+    def encode(self, letters) -> tuple[int, ...]:
+        return tuple(self.code[l] for l in letters)
+
+    def decode(self, codes: tuple[int, ...]) -> tuple[Letter, ...]:
+        return tuple(self.letters[c] for c in codes)
+
+
+def _splice(letters: tuple[int, ...], pos: int, end: int, mid: tuple[int, ...]):
+    """Free reduction of letters[:pos] + mid + letters[end:], as three
+    slices to concatenate.
+
+    Both `letters` and `mid` are freely reduced, so only the junctions
+    can cancel: first the left one, then the right one, and once `mid`
+    is used up, the prefix against the suffix.
+    """
+    i, j, k, s, n = pos, 0, len(mid), end, len(letters)
+    while i and j < k and letters[i - 1] ^ 1 == mid[j]:
+        i -= 1
+        j += 1
+    while j < k and s < n and mid[k - 1] ^ 1 == letters[s]:
+        k -= 1
+        s += 1
+    if j == k:
+        while i and s < n and letters[i - 1] ^ 1 == letters[s]:
+            i -= 1
+            s += 1
+    return letters[:i], mid[j:k], letters[s:]
+
+
 # A transition op is ("rewrite"|"insert", pos, (a, b), variant).
 
 
-def _transitions(pres: ArtinPresentation, letters: tuple[Letter, ...], max_len: int):
+def _transitions(rules: _Rules, letters: tuple[int, ...], max_len: int):
+    """Successors of a freely reduced code tuple with their ops: per
+    pair and variant, rewrites by ascending position, then inserts."""
     n = len(letters)
-    for a, b in pres.finite_pairs():
-        rules = relator_rules(pres, a, b)
-        m = len(rules[0][0])
-        for variant, (u, v) in enumerate(rules):
-            for pos in range(n - m + 1):
-                if letters[pos : pos + m] == u:
-                    nxt = _freely_reduce(letters[:pos] + v + letters[pos + m :])
-                    yield nxt, ("rewrite", pos, (a, b), variant)
-            if n + 2 * m <= max_len:
-                ins = u + _inv_word(v)
+    for pair, m, windows, variants in rules.pairs:
+        hits: dict[int, list[int]] = {}
+        for pos in range(n - m + 1):
+            for variant in windows.get(letters[pos : pos + m], ()):
+                hits.setdefault(variant, []).append(pos)
+        can_insert = n + 2 * m <= max_len
+        for variant, (v, ins) in enumerate(variants):
+            for pos in hits.get(variant, ()):
+                a, b, c = _splice(letters, pos, pos + m, v)
+                yield a + b + c, ("rewrite", pos, pair, variant)
+            if can_insert:
                 for pos in range(n + 1):
-                    nxt = _freely_reduce(letters[:pos] + ins + letters[pos:])
-                    if len(nxt) <= max_len:
-                        yield nxt, ("insert", pos, (a, b), variant)
+                    a, b, c = _splice(letters, pos, pos, ins)
+                    yield a + b + c, ("insert", pos, pair, variant)
 
 
 def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tuple[tuple[Move, ...], tuple[Letter, ...]]:
@@ -404,10 +463,10 @@ def _reconstruct(parents: dict, state: tuple) -> list:
     return chain
 
 
-def _ops_to_moves(pres: ArtinPresentation, chain: list) -> tuple[Move, ...]:
+def _ops_to_moves(pres: ArtinPresentation, rules: _Rules, chain: list) -> tuple[Move, ...]:
     moves: list[Move] = []
     for prev, op in chain:
-        step_moves, _ = _expand_op(pres, prev, op)
+        step_moves, _ = _expand_op(pres, rules.decode(prev), op)
         moves.extend(step_moves)
     return tuple(moves)
 
@@ -422,16 +481,17 @@ def _bidirectional_search(
     or None if the budget is exhausted first."""
     if source == target:
         return ()
-    sides = (
-        {"root": source, "parents": {source: (None, None)}, "heap": [(len(source), 0, source)]},
-        {"root": target, "parents": {target: (None, None)}, "heap": [(len(target), 0, target)]},
+    rules = _Rules(pres)
+    sides = tuple(
+        {"parents": {root: (None, None)}, "heap": [(len(root), 0, root)]}
+        for root in (rules.encode(source), rules.encode(target))
     )
     visited_total = 2
 
     def assemble(meet: tuple) -> tuple[Move, ...]:
-        fwd = _ops_to_moves(pres, _reconstruct(sides[0]["parents"], meet))
+        fwd = _ops_to_moves(pres, rules, _reconstruct(sides[0]["parents"], meet))
         back_chain = _reconstruct(sides[1]["parents"], meet)
-        back_moves = _ops_to_moves(pres, back_chain)  # target -> meet
+        back_moves = _ops_to_moves(pres, rules, back_chain)  # target -> meet
         inverted = tuple(invert_move(pres, m) for m in reversed(back_moves))
         return fwd + inverted
 
@@ -441,7 +501,7 @@ def _bidirectional_search(
         ) else 1
         side, other = sides[idx], sides[1 - idx]
         ln, depth, state = heapq.heappop(side["heap"])
-        for nxt, op in _transitions(pres, state, budget.max_len):
+        for nxt, op in _transitions(rules, state, budget.max_len):
             if nxt in side["parents"]:
                 continue
             side["parents"][nxt] = (state, op)
@@ -459,20 +519,20 @@ def _best_effort_shorten(
 ) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:
     """Small single-sided search; returns the (len, word)-smallest state
     reached and the moves to it.  Falls back to `start` itself."""
-    parents = {start: (None, None)}
-    heap = [(len(start), 0, start)]
-    best = start
+    rules = _Rules(pres)
+    root = rules.encode(start)
+    parents = {root: (None, None)}
+    heap = [(len(root), 0, root)]
+    best = root
     while heap and len(parents) < budget.max_states:
         ln, depth, state = heapq.heappop(heap)
         if (len(state), state) < (len(best), best):
             best = state
-        for nxt, op in _transitions(pres, state, budget.max_len):
+        for nxt, op in _transitions(rules, state, budget.max_len):
             if nxt not in parents:
                 parents[nxt] = (state, op)
                 heapq.heappush(heap, (len(nxt), depth + 1, nxt))
-    if (len(best), best) > (len(start), start):
-        best = start
-    return best, _ops_to_moves(pres, _reconstruct(parents, best))
+    return rules.decode(best), _ops_to_moves(pres, rules, _reconstruct(parents, best))
 
 
 # ---------------------------------------------------------------------------

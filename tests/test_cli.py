@@ -154,6 +154,15 @@ def test_prove_budget_exit(run_cli, pres_files):
     assert code == 3
 
 
+def test_budget_args_reject_values_below_one(run_cli, pres_files):
+    args = ("prove", "--presentation", pres_files["m3"], "--trivial", "s1 t1 s-1 t-1")
+    code, _, err = run_cli(*args, "--max-states", "-5")
+    assert code == 1 and "--max-states" in err
+    code, _, err = run_cli(*args, "--max-len", "-3")
+    assert code == 1 and "--max-len" in err
+    assert run_cli("families", "--case", "b", "--exponents", "1", "--max-states", "0")[0] == 1
+
+
 def test_families(run_cli):
     code, out, _ = run_cli("families", "--case", "b", "--exponents", "1", "--verify")
     assert code == 0

@@ -18,6 +18,11 @@ from artinflats.prover import (
     Move,
     ReplayError,
     SearchBudgetError,
+    _freely_reduce,
+    _inv_word,
+    _Rules,
+    _splice,
+    _transitions,
     apply_move,
     commutator_from_conjugation,
     compose_certificates,
@@ -29,6 +34,7 @@ from artinflats.prover import (
     prove_conjugation,
     prove_equal,
     prove_trivial,
+    relator_rules,
     replay,
 )
 
@@ -212,3 +218,102 @@ def test_conjugation_product_and_commutator_upgrade(e333):
 def test_search_budget_error_is_distinct():
     assert issubclass(SearchBudgetError, RuntimeError)
     assert not issubclass(SearchBudgetError, ReplayError)
+
+
+# ---------------------------------------------------------------------------
+# transitions on letter codes
+# ---------------------------------------------------------------------------
+
+FOUR = ArtinPresentation(
+    ("s", "t", "u", "v"),
+    {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
+)
+
+
+def naive_transitions(pres, letters, max_len):
+    """Slice-scan transitions over (g, s) letters that freely reduce the
+    whole word after every splice: the reference for `_transitions`."""
+    n = len(letters)
+    for a, b in pres.finite_pairs():
+        rules = relator_rules(pres, a, b)
+        m = len(rules[0][0])
+        for variant, (u, v) in enumerate(rules):
+            for pos in range(n - m + 1):
+                if letters[pos : pos + m] == u:
+                    nxt = _freely_reduce(letters[:pos] + v + letters[pos + m :])
+                    yield nxt, ("rewrite", pos, (a, b), variant)
+            if n + 2 * m <= max_len:
+                ins = u + _inv_word(v)
+                for pos in range(n + 1):
+                    nxt = _freely_reduce(letters[:pos] + ins + letters[pos:])
+                    if len(nxt) <= max_len:
+                        yield nxt, ("insert", pos, (a, b), variant)
+
+
+def random_reduced(pres, rng, length):
+    """A freely reduced word of the given length, built from rule sides
+    and single letters so that relator windows occur often."""
+    pairs = pres.finite_pairs()
+    out = ()
+    while len(out) < length:
+        if rng.random() < 0.5:
+            u, v = rng.choice(relator_rules(pres, *rng.choice(pairs)))
+            piece = rng.choice((u, v))
+        else:
+            piece = ((rng.choice(pres.generators), rng.choice((1, -1))),)
+        out = _freely_reduce(out + piece)
+    return out[:length]
+
+
+@pytest.mark.parametrize("name", ["m3", "m4", "four"])
+def test_transitions_match_naive_reference(name, m3, m4):
+    pres = {"m3": m3, "m4": m4, "four": FOUR}[name]
+    rules = _Rules(pres)
+    ms = sorted({int(pres.m(a, b)) for a, b in pres.finite_pairs()})
+    rng = random.Random(3)
+    for length in range(21):
+        for _ in range(2):
+            w = random_reduced(pres, rng, length)
+            m = rng.choice(ms)
+            # inserts of the m-pair are allowed exactly from n + 2m on
+            for max_len in (length + 2 * m - 1, length + 2 * m, 64):
+                got = [(rules.decode(s), op) for s, op in _transitions(rules, rules.encode(w), max_len)]
+                assert got == list(naive_transitions(pres, w, max_len)), (w, max_len)
+
+
+def test_splice_cancels_through_an_emptied_middle(m3):
+    rules = _Rules(m3)
+
+    def enc(text):
+        return rules.encode(Word.parse(text).letters())
+
+    def splice(text, pos, end, mid):
+        return tuple(rules.decode(part) for part in _splice(enc(text), pos, end, enc(mid)))
+
+    # mid cancels at both junctions, then the prefix cancels the suffix
+    assert splice("s1 t2 s-1", 2, 2, "t-2") == ((), (), ())
+    assert splice("s2 t2 s-1", 2, 2, "t-2") == ((("s", 1),), (), ())
+    # the left junction alone uses mid up (a rewrite window s1 is removed)
+    assert splice("t1 s1 t1 s1 t-1", 3, 4, "t-1 s-1") == ((), (), ())
+    # the right junction alone uses mid up
+    assert splice("t1 s1 t1 s-1 t-1 s-1 t-1", 2, 3, "t1 s1") == ((), (), ())
+    # mid survives, so prefix and suffix never meet
+    assert splice("s1 t2 s-1", 2, 2, "t-3") == ((("s", 1),), (("t", -1),), (("s", -1),))
+    rng = random.Random(11)
+    for _ in range(300):
+        letters = random_reduced(m3, rng, rng.randint(0, 10))
+        mid = random_reduced(m3, rng, rng.randint(0, 6))
+        pos = rng.randint(0, len(letters))
+        end = rng.randint(pos, len(letters))
+        a, b, c = _splice(rules.encode(letters), pos, end, rules.encode(mid))
+        assert rules.decode(a + b + c) == _freely_reduce(letters[:pos] + mid + letters[end:])
+
+
+def test_letter_codes_sort_like_letters():
+    rules = _Rules(FOUR)
+    letters = [(g, s) for g in ("v", "t", "u", "s") for s in (1, -1)]
+    assert [rules.decode((c,))[0] for c in sorted(rules.encode(letters))] == sorted(letters)
+    assert all(rules.code[(g, -s)] == rules.code[(g, s)] ^ 1 for g, s in letters)
+    rng = random.Random(5)
+    words = [random_reduced(FOUR, rng, rng.randint(0, 6)) for _ in range(200)]
+    assert [rules.decode(c) for c in sorted(rules.encode(w) for w in words)] == sorted(words)
