@@ -110,13 +110,18 @@ def _build_patch(args) -> Patch:
         raise UsageError(f"cannot build {tt.name} patch: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+    print(f"wrote {path}")
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-        print(f"wrote {args.output}")
+        _write(args.output, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -358,9 +363,7 @@ def cmd_render(args) -> int:
         edge_colors=not args.plain,
         arrows=not args.no_arrows,
     )
-    with open(args.output, "w") as fh:
-        fh.write(svg)
-    print(f"wrote {args.output}")
+    _write(args.output, svg)
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from artinflats.presentation import INFINITY, ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word
 
 Simple = tuple[int, int]  # (start_letter, length), 0 < length < m
 
@@ -135,17 +135,17 @@ def _require_dihedral(pres: ArtinPresentation) -> tuple[str, str, int]:
         raise ValueError("dihedral operations need exactly two generators")
     a, b = pres.generators
     m = pres.m(a, b)
-    if m == INFINITY:
+    if m is None:
         raise ValueError("dihedral operations need a finite exponent")
-    return a, b, int(m)
+    return a, b, m
 
 
 def subpresentation(pres: ArtinPresentation, a: str, b: str) -> ArtinPresentation:
     """The two-generator presentation spanned by a and b (finite m required)."""
     m = pres.m(a, b)
-    if m == INFINITY:
+    if m is None:
         raise ValueError(f"pair ({a}, {b}) has no relation")
-    return ArtinPresentation((a, b), {(a, b): int(m)})
+    return ArtinPresentation((a, b), {(a, b): m})
 
 
 def normal_form(pres: ArtinPresentation, word: Word) -> NormalForm:

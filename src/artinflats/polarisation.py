@@ -215,25 +215,6 @@ def _position_in_cell(cell: Cell, edge_index: int) -> int:
     raise ValueError(f"edge {edge_index} not on cell {cell.index}")
 
 
-def _anchored_lift(
-    patch: Patch, cell: Cell, k: int, pos_k: Vec
-) -> list[Vec]:
-    """Boundary positions of `cell` lifted to the plane with boundary
-    vertex k placed at pos_k."""
-    n = len(cell.edges)
-    lift = [None] * n
-    lift[k] = pos_k
-    cur = list(pos_k)
-    for step in range(n - 1):
-        j = (k + step) % n
-        e = patch.edges[cell.edges[j]]
-        dlt = e.delta_from(cell.vertices[j])
-        cur[0] += dlt[0]
-        cur[1] += dlt[1]
-        lift[(j + 1) % n] = (cur[0], cur[1])
-    return lift
-
-
 def _other_cell(patch: Patch, edge_index: int, cell: Cell) -> Cell:
     a, b = patch.edge_cells[edge_index]
     return patch.cells[b] if a == cell.index else patch.cells[a]
@@ -266,7 +247,7 @@ def _centers_difference(
     a chain, where each chain entry (cell, boundary position) shares
     its edge with the previous entry and the lifts are glued along the
     shared edges."""
-    lift = _anchored_lift(patch, start_cell, start_pos, (0, 0))
+    lift = patch.cell_lift(start_cell)
     c0 = _center2m(lift)
     n0 = 2 * start_cell.m
     prev_cell, prev_pos, prev_lift = start_cell, start_pos, lift
@@ -280,7 +261,9 @@ def _centers_difference(
             if cell.vertices[k] == u_prev
             else prev_lift[(prev_pos + 1) % (2 * prev_cell.m)]
         )
-        prev_lift = _anchored_lift(patch, cell, k, anchor)
+        lift = patch.cell_lift(cell)
+        sx, sy = anchor[0] - lift[k][0], anchor[1] - lift[k][1]
+        prev_lift = [(x + sx, y + sy) for x, y in lift]
         prev_cell, prev_pos = cell, pos
     c1 = _center2m(prev_lift)
     if n0 != 2 * prev_cell.m:
@@ -528,8 +511,14 @@ def polarisation_to_json(patch: Patch, l: Polarisation) -> str:
 
 def polarisation_from_json(patch: Patch, text: str) -> Polarisation:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a polarisation must be a JSON object")
     l: Polarisation = {}
     for key, pair in data.items():
+        if not key.isdecimal() or int(key) >= len(patch.cells):
+            raise ValueError(f"bad cell index {key!r}")
+        if not isinstance(pair, list) or len(pair) != 2 or any(type(v) is not int for v in pair):
+            raise ValueError(f"cell {key}: expected two vertex integers, got {pair!r}")
         cell = patch.cells[int(key)]
         want = set(pair)
         for d in range(cell.m):

@@ -1,36 +1,41 @@
 """Presentations, syllable words, and word languages.
 
 An Artin presentation is a finite ordered set of generators together
-with a symmetric table of exponents m(s, t) in {2, 3, ...} or infinity.
-The group relation for a finite exponent m is the equality of the two
-alternating products of length m:
+with a symmetric table of exponents m(s, t) in {2, 3, ...}, or no
+relation.  The group relation for a finite exponent m is the equality
+of the two alternating products of length m:
 
     s t s ...  =  t s t ...      (m letters on each side).
+
+"No relation" is `INFINITY`, which is `None`; a pair given as `None`
+(JSON `null`) and a pair left out mean the same thing.
 
 Words are kept in *syllable* form: maximal runs of a single generator
 are merged into one (generator, exponent) pair with a nonzero exponent.
 This canonical form makes free reduction idempotent and cyclic rotation
 well defined at the syllable level.
+
+Word templates describe languages such as (t^k s t r)*, with star
+meaning one or more repetitions.  Adjacent parts must use different
+generators, so every member is reduced as written and membership is
+decided exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
-INFINITY = math.inf
+INFINITY = None
 
-ExponentValue = Union[int, float]  # int >= 2, or INFINITY
+ExponentValue = int | None  # int >= 2, or INFINITY (no relation)
 
 
 def _check_exponent(m: ExponentValue) -> ExponentValue:
-    if m == INFINITY:
-        return INFINITY
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"exponent must be an integer >= 2 or INFINITY, got {m!r}")
+    if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 2):
+        raise ValueError(f"exponent must be an integer >= 2 or null, got {m!r}")
     return m
 
 
@@ -47,11 +52,11 @@ class ArtinPresentation:
         exponents: dict[tuple[str, str], ExponentValue] | None = None,
     ):
         gens = tuple(generators)
+        for g in gens:
+            if not isinstance(g, str) or not g.isidentifier():
+                raise ValueError(f"bad generator name {g!r}")
         if len(set(gens)) != len(gens) or not gens:
             raise ValueError("generators must be nonempty and distinct")
-        for g in gens:
-            if not g or not g.isidentifier():
-                raise ValueError(f"bad generator name {g!r}")
         self.generators = gens
         self._index = {g: i for i, g in enumerate(gens)}
         seen: dict[frozenset[str], ExponentValue] = {}
@@ -64,7 +69,7 @@ class ArtinPresentation:
                 raise ValueError(f"conflicting exponents for pair ({a}, {b})")
         # An infinite pair is stored as absent, so an explicit INFINITY,
         # a JSON null and a missing pair all compare and hash equal.
-        self._table = {key: m for key, m in seen.items() if m != INFINITY}
+        self._table = {key: m for key, m in seen.items() if m is not None}
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -95,7 +100,7 @@ class ArtinPresentation:
         out = []
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1 :]:
-                if self.m(a, b) != INFINITY:
+                if self.m(a, b) is not None:
                     out.append((a, b))
         return out
 
@@ -111,8 +116,8 @@ class ArtinPresentation:
                     total = Fraction(0)
                     for a, b in ((gens[i], gens[j]), (gens[j], gens[k]), (gens[i], gens[k])):
                         m = self.m(a, b)
-                        if m != INFINITY:
-                            total += Fraction(1, int(m))
+                        if m is not None:
+                            total += Fraction(1, m)
                     if total > 1:
                         return False
         return True
@@ -120,7 +125,7 @@ class ArtinPresentation:
     def to_dict(self) -> dict:
         return {
             "generators": list(self.generators),
-            "exponents": [[a, b, int(self.m(a, b))] for a, b in self.finite_pairs()],
+            "exponents": [[a, b, self.m(a, b)] for a, b in self.finite_pairs()],
         }
 
     def to_json(self) -> str:
@@ -128,10 +133,12 @@ class ArtinPresentation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArtinPresentation":
-        exps: dict[tuple[str, str], ExponentValue] = {}
-        for a, b, m in data.get("exponents", []):
-            exps[(a, b)] = INFINITY if m is None else int(m)
-        return cls(data["generators"], exps)
+        if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
+            raise ValueError("a presentation is an object with a list of generators")
+        exps = data.get("exponents", [])
+        if not isinstance(exps, list) or any(not isinstance(e, list) or len(e) != 3 for e in exps):
+            raise ValueError("exponents must be a list of [a, b, m] triples")
+        return cls(data["generators"], {(a, b): m for a, b, m in exps})
 
     @classmethod
     def from_json(cls, text: str) -> "ArtinPresentation":
@@ -281,11 +288,19 @@ EMPTY_WORD = Word()
 class LanguageTemplate:
     """Expression tree over fixed words and single-generator powers.
 
-    Atoms are Fixed(word) and PowerAtom(generator) -- the latter stands
-    for g^k with k an arbitrary nonzero integer.  Composite nodes are
-    Concat(parts...) and Star(part), with star meaning one or more
-    repetitions when enumerated under a bound.
+    Atoms are Fixed(word), a nonempty reduced word, and
+    PowerAtom(generator), which stands for g^k with k an arbitrary
+    nonzero integer.  Composite nodes are Concat(parts...) and
+    Star(part), with star meaning one or more repetitions.
+
+    Adjacent parts must use different generators where they meet, also
+    between two repetitions of a star; construction raises ValueError
+    otherwise.  Every member is then syllable-reduced exactly as
+    written, so `matches` decides membership exactly, with no bound.
     """
+
+    first: str  # generator of the first syllable of every member
+    last: str  # generator of the last syllable of every member
 
     def enumerate(self, exponent_bound: int, star_bound: int) -> set[Word]:
         """All member words with power exponents in [-b, b] minus {0}
@@ -295,24 +310,34 @@ class LanguageTemplate:
     def _sequences(self, eb: int, sb: int) -> Iterator[tuple[tuple[str, int], ...]]:
         raise NotImplementedError
 
-    def matches(self, word: Word, exponent_bound: int | None = None, star_bound: int = 8) -> bool:
+    def _ends(self, syls: tuple[Syllable, ...], i: int) -> set[int]:
+        """Positions j such that syls[i:j] is a member."""
+        raise NotImplementedError
+
+    def matches(self, word: Word) -> bool:
         """Membership test (syllable-exact, no group relations applied)."""
-        target = tuple((s.generator, s.exponent) for s in word.syllables)
-        bound = exponent_bound
-        if bound is None:
-            bound = max((abs(s.exponent) for s in word.syllables), default=1)
-        return any(
-            tuple((s.generator, s.exponent) for s in reduce(seq).syllables) == target
-            for seq in self._sequences(bound, star_bound)
-        )
+        return len(word) in self._ends(word.syllables, 0)
+
+
+def _check_separated(left: LanguageTemplate, right: LanguageTemplate) -> None:
+    if left.last == right.first:
+        raise ValueError(f"{left!r} and {right!r} meet on generator {left.last!r}")
 
 
 class Fixed(LanguageTemplate):
     def __init__(self, word: Word | str):
         self.word = Word.parse(word) if isinstance(word, str) else word
+        if not self.word:
+            raise ValueError("a fixed template word must be nonempty")
+        self.first = self.word.syllables[0].generator
+        self.last = self.word.syllables[-1].generator
 
     def _sequences(self, eb, sb):
         yield tuple((s.generator, s.exponent) for s in self.word.syllables)
+
+    def _ends(self, syls, i):
+        j = i + len(self.word)
+        return {j} if syls[i:j] == self.word.syllables else set()
 
     def __repr__(self):
         return f"Fixed({str(self.word)!r})"
@@ -320,12 +345,15 @@ class Fixed(LanguageTemplate):
 
 class PowerAtom(LanguageTemplate):
     def __init__(self, generator: str):
-        self.generator = generator
+        self.generator = self.first = self.last = generator
 
     def _sequences(self, eb, sb):
         for e in range(-eb, eb + 1):
             if e != 0:
                 yield ((self.generator, e),)
+
+    def _ends(self, syls, i):
+        return {i + 1} if i < len(syls) and syls[i].generator == self.generator else set()
 
     def __repr__(self):
         return f"PowerAtom({self.generator!r})"
@@ -333,7 +361,12 @@ class PowerAtom(LanguageTemplate):
 
 class Concat(LanguageTemplate):
     def __init__(self, *parts: LanguageTemplate):
+        if not parts:
+            raise ValueError("Concat needs at least one part")
+        for left, right in zip(parts, parts[1:]):
+            _check_separated(left, right)
         self.parts = parts
+        self.first, self.last = parts[0].first, parts[-1].last
 
     def _sequences(self, eb, sb):
         def rec(i: int) -> Iterator[tuple]:
@@ -346,13 +379,21 @@ class Concat(LanguageTemplate):
 
         return rec(0)
 
+    def _ends(self, syls, i):
+        ends = {i}
+        for part in self.parts:
+            ends = {k for j in ends for k in part._ends(syls, j)}
+        return ends
+
     def __repr__(self):
         return f"Concat({', '.join(map(repr, self.parts))})"
 
 
 class Star(LanguageTemplate):
     def __init__(self, part: LanguageTemplate):
+        _check_separated(part, part)
         self.part = part
+        self.first, self.last = part.first, part.last
 
     def _sequences(self, eb, sb):
         def rec(reps: int) -> Iterator[tuple]:
@@ -365,6 +406,14 @@ class Star(LanguageTemplate):
 
         for reps in range(1, sb + 1):
             yield from rec(reps)
+
+    def _ends(self, syls, i):
+        ends: set[int] = set()
+        frontier = self.part._ends(syls, i)
+        while frontier:
+            ends |= frontier
+            frontier = {k for j in frontier for k in self.part._ends(syls, j)} - ends
+        return ends
 
     def __repr__(self):
         return f"Star({self.part!r})"

@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from artinflats.presentation import INFINITY, ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word
 
 Letter = tuple[str, int]  # (generator, +1 or -1)
 
@@ -124,9 +124,9 @@ def _rules_for(m: int, a: str, b: str) -> tuple[tuple[tuple[Letter, ...], tuple[
 
 def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]:
     m = pres.m(a, b)
-    if m == INFINITY:
+    if m is None:
         raise ValueError(f"pair ({a}, {b}) has no relation")
-    return _rules_for(int(m), a, b)
+    return _rules_for(m, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,7 @@ def invert_move(pres: ArtinPresentation, move: Move) -> Move:
     if move.kind == "insert":
         return Move("cancel", move.pos, letter=move.letter)
     a, b = move.pair
-    table = _inverse_variant_table(int(pres.m(a, b)), a, b)
+    table = _inverse_variant_table(pres.m(a, b), a, b)
     return Move("relator", move.pos, pair=move.pair, variant=table[move.variant])
 
 
@@ -170,7 +170,7 @@ def mirror_move(pres: ArtinPresentation, move: Move, length: int) -> Move:
     if move.kind == "insert":
         return Move("insert", length - move.pos, letter=move.letter)
     a, b = move.pair
-    m = int(pres.m(a, b))
+    m = pres.m(a, b)
     table = _mirror_variant_table(m, a, b)
     return Move("relator", length - move.pos - m, pair=move.pair, variant=table[move.variant])
 

@@ -314,15 +314,6 @@ def klein_composite(pair: KleinPair) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _edge_of_type(patch: Patch, vertex: int, gen: str):
-    hits = [
-        patch.edges[ei] for ei in patch.vertex_edges[vertex] if patch.edges[ei].gen == gen
-    ]
-    if len(hits) != 1:
-        raise KeyError(f"vertex {vertex} has {len(hits)} {gen}-edges")
-    return hits[0]
-
-
 def _walk_word(
     patch: Patch, d: DirectionAssignment, start: int, word: Word
 ) -> tuple[int, Vec] | None:
@@ -333,7 +324,7 @@ def _walk_word(
     v = start
     x = y = 0
     for syl in word.syllables:
-        edge = _edge_of_type(patch, v, syl.generator)
+        edge = patch._edge_at(v, syl.generator)
         de = d[edge.index]
         sign = 1 if de.source == v else -1
         if sign * de.label != syl.exponent:
@@ -470,7 +461,7 @@ def read_off_generators(
     raise ValueError("no generator pair is readable from this assignment")
 
 
-def matches_family(case: str, w1: Word, w2: Word, star_bound: int = 4) -> bool:
+def matches_family(case: str, w1: Word, w2: Word) -> bool:
     """Whether (w1, w2) lies in the case's family up to exponent-matrix
     symmetry and inverting either generator."""
     fam = flat_family(case)
@@ -480,6 +471,6 @@ def matches_family(case: str, w1: Word, w2: Word, star_bound: int = 4) -> bool:
             continue
         back = w2.substitute(sym)  # the symmetries are involutions
         for cand2 in (back, back.inverse()):
-            if fam.template.matches(cand2, star_bound=star_bound):
+            if fam.template.matches(cand2):
                 return True
     return False

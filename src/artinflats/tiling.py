@@ -26,7 +26,6 @@ exact integers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -423,7 +422,7 @@ class Patch:
                 pairs.append((gens[i], gens[j]))
         pres = self.presentation
         for pair in pairs:
-            m = int(pres.m(*pair))
+            m = pres.m(*pair)
             assigned: set[int] = set()
             for e in list(self.edges):
                 if e.gen not in pair or e.index in assigned:
@@ -563,44 +562,6 @@ class Patch:
 
     def opposite_position(self, cell: Cell, k: int) -> int:
         return (k + cell.m) % (2 * cell.m)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "type": self.triangle_type.value,
-                "lattice": [list(self.lattice[0]), list(self.lattice[1])],
-                "vertices": [list(p) for p in self.positions],
-                "edges": [
-                    {"u": e.u, "v": e.v, "gen": e.gen, "delta": list(e.delta)}
-                    for e in self.edges
-                ],
-                "cells": [
-                    {
-                        "pair": list(c.pair),
-                        "m": c.m,
-                        "vertices": list(c.vertices),
-                        "edges": list(c.edges),
-                    }
-                    for c in self.cells
-                ],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Patch":
-        data = json.loads(text)
-        patch = build_patch(
-            TriangleType(data["type"]),
-            (tuple(data["lattice"][0]), tuple(data["lattice"][1])),
-        )
-        if [list(p) for p in patch.positions] != data["vertices"]:
-            raise ValueError("serialised patch does not match its rebuild")
-        return patch
-
-
-def build_patch(tt: TriangleType, lattice: tuple[Vec, Vec]) -> Patch:
-    return Patch(tt, lattice)
 
 
 def minimal_patch(tt: TriangleType) -> Patch:

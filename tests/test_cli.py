@@ -194,3 +194,58 @@ def test_klein(run_cli, tmp_path):
     for name in ("relation", "product", "composite"):
         assert replay(Certificate.from_json(json.dumps(data[name])))
     assert run_cli("klein", "--k", "0")[0] == 1
+
+
+def _assert_usage_error(result):
+    code, _, err = result
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_bad_presentation_files_are_usage_errors(run_cli, tmp_path):
+    bad = tmp_path / "bad.json"
+    for data in (
+        [1, 2],
+        {"generators": [1, 2]},
+        {"generators": "st", "exponents": [["s", "t", 3]]},
+        {"generators": ["s", "t"], "exponents": [["s", "t"]]},
+        {"generators": ["s", "t"], "exponents": {"s": 3}},
+        {"generators": ["s", "t"], "exponents": [["s", "t", 3.5]]},
+        {"generators": ["s", "t"], "exponents": [["s", "t", "3"]]},
+    ):
+        bad.write_text(json.dumps(data))
+        _assert_usage_error(run_cli("normalize", "--presentation", str(bad), "s1"))
+
+
+def test_bad_polarisation_files_are_usage_errors(run_cli, tmp_path):
+    from artinflats.polarisation import induced, polarisation_to_json
+    from artinflats.tiling import TriangleType, minimal_patch, standard_directions
+
+    patch = minimal_patch(TriangleType.E333)
+    good = json.loads(polarisation_to_json(patch, induced(patch, standard_directions(patch))))
+    last = str(len(patch.cells) - 1)
+    bad = tmp_path / "pol.json"
+    args = ("render", "--type", "E333", "-o", str(tmp_path / "x.svg"))
+    bad.write_text(json.dumps(good))
+    assert run_cli(*args, "--polarisation", f"file:{bad}")[0] == 0
+    for data in (
+        [1],
+        {"0": 5},
+        {"0": [0]},
+        {"0": [0, "1"]},
+        {"-1": good[last]},
+        {str(len(patch.cells)): good[last]},
+        {"x": good["0"]},
+    ):
+        bad.write_text(json.dumps(data))
+        _assert_usage_error(run_cli(*args, "--polarisation", f"file:{bad}"))
+
+
+def test_unwritable_output_is_a_usage_error(run_cli, pres_files, tmp_path):
+    out = str(tmp_path / "missing" / "out")
+    for args in (
+        ("render", "--type", "E333"),
+        ("prove", "--presentation", pres_files["m3"], "--trivial", "s1 s-1"),
+        ("families", "--case", "b", "--exponents", "1"),
+        ("klein", "--k", "1"),
+    ):
+        _assert_usage_error(run_cli(*args, "-o", out))

@@ -80,6 +80,29 @@ def test_presentation_rejects_bad_exponent():
         ArtinPresentation(("s", "t"), {("s", "t"): 1})
     with pytest.raises(ValueError):
         ArtinPresentation(("s", "t"), {("s", "u"): 3})
+    with pytest.raises(ValueError):
+        ArtinPresentation(("s", 1))
+
+
+def test_from_dict_rejects_non_integer_exponents():
+    for m in (3.5, "3", True, 3.0):
+        with pytest.raises(ValueError):
+            ArtinPresentation.from_dict({"generators": ["s", "t"], "exponents": [["s", "t", m]]})
+
+
+def test_from_dict_rejects_malformed_documents():
+    for data in (
+        [1, 2],
+        "s t",
+        {},
+        {"generators": "st"},
+        {"generators": [1, 2]},
+        {"generators": ["s", "t"], "exponents": {"s": 3}},
+        {"generators": ["s", "t"], "exponents": [["s", "t"]]},
+        {"generators": ["s", "t"], "exponents": ["st3"]},
+    ):
+        with pytest.raises(ValueError):
+            ArtinPresentation.from_dict(data)
 
 
 def test_two_dimensional():
@@ -140,11 +163,11 @@ def test_star_repeats():
     t = Star(Concat(PowerAtom("t"), Fixed(Word.parse("s1 t1 r1"))))
     one = Word.parse("t1 s1 t1 r1")
     two = Word.parse("t1 s1 t1 r1 t-2 s1 t1 r1")
-    assert t.matches(one, star_bound=3)
-    assert t.matches(two, star_bound=3)
-    assert not t.matches(Word.parse("t1 s1 t1"), star_bound=3)
+    assert t.matches(one)
+    assert t.matches(two)
+    assert not t.matches(Word.parse("t1 s1 t1"))
     # at least one repetition is required
-    assert not t.matches(Word.parse(""), star_bound=3)
+    assert not t.matches(Word.parse(""))
 
 
 def test_star_enumerate_agrees_with_matches():
@@ -152,7 +175,56 @@ def test_star_enumerate_agrees_with_matches():
     words = list(t.enumerate(1, 2))
     assert len(words) == len(set(map(str, words)))
     for w in words:
-        assert t.matches(w, exponent_bound=1, star_bound=2)
+        assert t.matches(w)
     # a one-rep and a two-rep instance both appear
     lens = {len(w.syllables) for w in words}
     assert lens == {3, 6}
+
+
+def test_star_matches_beyond_any_enumeration_bound():
+    t = Star(Concat(PowerAtom("t"), Fixed(Word.parse("s1 t1 r1"))))
+    factors = ["t1 s1 t1 r1", "t-2 s1 t1 r1", "t2 s1 t1 r1"]
+    for n in (5, 6, 9):
+        w = Word.parse(" ".join(factors[i % 3] for i in range(n)))
+        assert t.matches(w)
+        assert not t.matches(Word.parse(str(w) + " t1"))
+        assert not t.matches(Word.parse(str(w) + " t1 s1"))
+    assert t.matches(Word.parse("t7 s1 t1 r1 t-9 s1 t1 r1"))
+
+
+def test_matches_agrees_with_enumeration_on_mutations():
+    # every enumerated member matches, and on one-syllable mutations
+    # (exponent moved by +-1 within [-2, 2], or last syllable dropped)
+    # `matches` agrees with membership in the same enumeration
+    from artinflats.subgroups import flat_family
+
+    rng = random.Random(404)
+    for case in "bcdef":
+        t = flat_family(case).template
+        members = t.enumerate(2, 2)
+        assert all(t.matches(w) for w in members)
+        for w in rng.sample(sorted(members, key=str), min(40, len(members))):
+            syls = list(w.syllables)
+            i = rng.randrange(len(syls))
+            e = syls[i].exponent + rng.choice((-1, 1))
+            mutants = [reduce(syls[:-1])]
+            if e and abs(e) <= 2:
+                mutants.append(reduce(syls[:i] + [(syls[i].generator, e)] + syls[i + 1 :]))
+            for m in mutants:
+                assert t.matches(m) == (m in members), (case, str(m))
+
+
+def test_templates_whose_parts_merge_are_rejected():
+    bad = (
+        lambda: Concat(PowerAtom("t"), Fixed("t1 s1")),
+        lambda: Concat(Fixed("s1 t1"), PowerAtom("t")),
+        lambda: Concat(PowerAtom("s"), PowerAtom("s")),
+        lambda: Star(Fixed("s1 t1 s1")),
+        lambda: Star(PowerAtom("t")),
+        lambda: Star(Concat(PowerAtom("t"), Fixed("s1 t1"))),
+        lambda: Fixed(""),
+        lambda: Concat(),
+    )
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()

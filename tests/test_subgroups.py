@@ -94,7 +94,7 @@ def test_flat_family_templates_match_their_words():
         exps = [(1, 1)] if case == "c" else [1]
         w1, w2 = family(case, exps)
         assert w1 == fam.w1
-        assert fam.template.matches(w2, exponent_bound=2, star_bound=2)
+        assert fam.template.matches(w2)
 
 
 # certificate move counts are deterministic; frozen from the first runs
@@ -221,6 +221,13 @@ def test_matches_family_respects_symmetry_and_inversion():
     swapped = {"t": "r", "r": "t"}
     assert matches_family("b", w1.substitute(swapped), w2.substitute(swapped))
     assert not matches_family("b", w1, w1)
+
+
+def test_matches_family_has_no_factor_bound():
+    for case in "bcdef":
+        for n in (5, 6):
+            exps = [(1, 2 - i % 2) if case == "c" else 1 + i % 2 for i in range(n)]
+            assert matches_family(case, *family(case, exps)), (case, n)
 
 
 def test_family_cases_constant():
