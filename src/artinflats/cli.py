@@ -4,7 +4,8 @@ enumeration, proof search and replay, and SVG rendering of patches.
 Exit codes follow a fixed contract so sweeps can run under CI:
 
     0   success
-    1   usage error (bad arguments, unparsable words, bad input files)
+    1   usage error (bad arguments, unparsable words, bad input files,
+        output that cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from artinflats import dihedral, girth
@@ -598,7 +600,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point stdout at devnull
+        # so that the flush at interpreter shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

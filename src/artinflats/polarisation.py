@@ -5,6 +5,10 @@ m of them, joining opposite boundary vertices).  It is *admissible*
 when every vertex of the patch lies on exactly one chosen diagonal —
 an exact-cover condition, enumerated here both by constraint
 propagation and (for cross-checking on small patches) by brute force.
+The exact cover keeps, per item, the number of active options holding
+it, updated when an option is covered or uncovered, and branches on the
+item with the fewest (ties to the smallest item), as in the counted
+columns of Knuth's Dancing Links.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -18,7 +22,9 @@ to `e` that maps maximal cell to maximal cell and preserves the whole
 polarisation.  `rho` is constructed from the local configurations
 (cell pair sharing an edge; square with parallel edges in two maximal
 cells; the hexagon-square-hexagon chain of four parallel edges) and
-then verified exactly on the patch.
+then verified exactly on the patch, through the translation's vertex
+and cell maps, which the patch computes once per vector
+(`Patch.translation`) and every polarisation of the patch reuses.
 """
 
 from __future__ import annotations
@@ -124,10 +130,13 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
         for d in range(cell.m):
             a, b = diagonal_vertices(cell, d)
             options.append((cell.index, d, (a, b, n_v + cell.index)))
-    item_options: dict[int, set[int]] = {}
+    item_options: dict[int, list[int]] = {}
     for oi, (_, _, items) in enumerate(options):
         for it in items:
-            item_options.setdefault(it, set()).add(oi)
+            item_options.setdefault(it, []).append(oi)
+    # count[it] = number of active options holding item it, kept up to
+    # date by cover/uncover so that branching needs no set intersection
+    count = {it: len(ois) for it, ois in item_options.items()}
     active_items = set(item_options)
     active_options = set(range(len(options)))
     chosen: list[int] = []
@@ -144,10 +153,15 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
                 if other in active_options:
                     active_options.discard(other)
                     removed_options.append(other)
+                    for it2 in options[other][2]:
+                        count[it2] -= 1
         return removed_items, removed_options
 
     def uncover(removed: tuple[list[int], list[int]]) -> None:
         removed_items, removed_options = removed
+        for other in removed_options:
+            for it2 in options[other][2]:
+                count[it2] += 1
         active_options.update(removed_options)
         active_items.update(removed_items)
 
@@ -155,11 +169,9 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
         if not active_items:
             results.append({options[oi][0]: options[oi][1] for oi in chosen})
             return
-        item = min(
-            active_items,
-            key=lambda it: (len(item_options[it] & active_options), it),
-        )
-        for oi in sorted(item_options[item] & active_options):
+        item = min([(count[it], it) for it in active_items])[1]
+        # a list, not a generator: cover() shrinks active_options
+        for oi in [oi for oi in item_options[item] if oi in active_options]:
             chosen.append(oi)
             removed = cover(oi)
             search()
@@ -336,10 +348,13 @@ def e_translation(patch: Patch, e_class: Vec) -> Vec:
 def preserves(patch: Patch, l: Polarisation, rho: Vec) -> bool:
     if rho == (0, 0):
         return False
+    action = patch.translation(rho)
+    if action is None:
+        return False
+    vmap, cmap = action
     try:
-        vmap = [patch.translate_vertex(v, rho) for v in range(patch.vertex_count())]
         for cell in patch.cells:
-            image = patch.translate_cell(cell, rho)
+            image = patch.cells[cmap[cell.index]]
             a, b = diagonal_vertices(cell, l[cell.index])
             ia, ib = diagonal_vertices(image, l[image.index])
             if {vmap[a], vmap[b]} != {ia, ib}:

@@ -138,7 +138,11 @@ class ArtinPresentation:
         exps = data.get("exponents", [])
         if not isinstance(exps, list) or any(not isinstance(e, list) or len(e) != 3 for e in exps):
             raise ValueError("exponents must be a list of [a, b, m] triples")
-        return cls(data["generators"], {(a, b): m for a, b, m in exps})
+        table: dict[tuple[str, str], ExponentValue] = {}
+        for a, b, m in exps:
+            if table.setdefault((a, b), m) != m:
+                raise ValueError(f"conflicting exponents for pair ({a}, {b})")
+        return cls(data["generators"], table)
 
     @classmethod
     def from_json(cls, text: str) -> "ArtinPresentation":

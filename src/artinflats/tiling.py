@@ -183,9 +183,15 @@ def _solve_in_lattice(basis: tuple[Vec, Vec], v: Vec) -> tuple[Fraction, Fractio
 
 
 def _reduce_mod(basis: tuple[Vec, Vec], v: Vec) -> Vec:
-    alpha, beta = _solve_in_lattice(basis, v)
-    fa, fb = alpha.__floor__(), beta.__floor__()
+    """v minus the lattice point whose fundamental parallelogram holds
+    it: the floors of v's coordinates in `basis`, by integer floor
+    division (which floors for either sign of the determinant)."""
     (a1, b1), (a2, b2) = basis
+    det = a1 * b2 - b1 * a2
+    if det == 0:
+        raise ValueError("degenerate lattice")
+    fa = (v[0] * b2 - v[1] * a2) // det
+    fb = (a1 * v[1] - b1 * v[0]) // det
     return (v[0] - fa * a1 - fb * a2, v[1] - fa * b1 - fb * b2)
 
 
@@ -287,6 +293,7 @@ class Patch:
         self.vertex_edges: list[list[int]] = []
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
+        self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
         if triangle_type == TriangleType.SQUARE:
             self._build_square()
             self._build_square_cells()
@@ -547,6 +554,21 @@ class Patch:
             raise KeyError(f"translation {vec} does not act on cells")
         return self.cells[common.pop()]
 
+    def translation(self, vec: Vec) -> tuple[list[int], list[int]] | None:
+        """The action of `vec` as (vertex map, cell map), each a list
+        indexed by vertex or cell index; None when `vec` does not act on
+        the patch.  Computed once per vector and kept on the patch."""
+        if vec not in self._translations:
+            try:
+                action = (
+                    [self.translate_vertex(v, vec) for v in range(len(self.positions))],
+                    [self.translate_cell(cell, vec).index for cell in self.cells],
+                )
+            except KeyError:
+                action = None
+            self._translations[vec] = action
+        return self._translations[vec]
+
     def cell_lift(self, cell: Cell) -> list[Vec]:
         """Boundary vertex positions lifted coherently to the plane,
         anchored at the stored position of the first boundary vertex."""
@@ -706,7 +728,20 @@ def _cell_signature(patch: Patch, cell: Cell, d: DirectionAssignment) -> tuple[i
     return tuple(sig)
 
 
+def _cell_consistent(patch: Patch, cell: Cell, d: DirectionAssignment) -> bool:
+    """Whether the cell passes the long-pairing and cell-word checks."""
+    edges = cell.edges
+    n = len(edges)
+    for k in range(n):
+        ke = d[edges[k]].label
+        if ke >= 2 and d[edges[(k + cell.m) % n]].label != ke:
+            return False
+    return _signed_boundary_trivial(cell.m, _cell_signature(patch, cell, d))
+
+
 def _cell_checks(patch: Patch, cell: Cell, d: DirectionAssignment) -> list[Violation]:
+    if _cell_consistent(patch, cell, d):
+        return []
     out = []
     n = len(cell.edges)
     for k in range(n):
@@ -797,7 +832,7 @@ def enumerate_consistent_directions(
                 lo = assignment[opp].label
                 if lo != label and (lo >= 2 or label >= 2):
                     return False
-        return all(not _cell_checks(patch, cell, assignment) for cell in completes[ei])
+        return all(_cell_consistent(patch, cell, assignment) for cell in completes[ei])
 
     def backtrack(k: int) -> None:
         if k == len(edge_order):

@@ -5,10 +5,14 @@ Rendering is covered by byte-comparison against the golden files.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import artinflats
 from artinflats.presentation import ArtinPresentation
 from artinflats.prover import Certificate, replay
 
@@ -211,6 +215,8 @@ def test_bad_presentation_files_are_usage_errors(run_cli, tmp_path):
         {"generators": ["s", "t"], "exponents": {"s": 3}},
         {"generators": ["s", "t"], "exponents": [["s", "t", 3.5]]},
         {"generators": ["s", "t"], "exponents": [["s", "t", "3"]]},
+        {"generators": ["s", "t"], "exponents": [["s", "t", 3], ["s", "t", 4]]},
+        {"generators": ["s", "t"], "exponents": [["s", "t", 3], ["t", "s", 4]]},
     ):
         bad.write_text(json.dumps(data))
         _assert_usage_error(run_cli("normalize", "--presentation", str(bad), "s1"))
@@ -249,3 +255,21 @@ def test_unwritable_output_is_a_usage_error(run_cli, pres_files, tmp_path):
         ("klein", "--k", "1"),
     ):
         _assert_usage_error(run_cli(*args, "-o", out))
+
+
+def test_closed_stdout_is_a_usage_error_not_a_traceback():
+    # `artinflats ... | head` closes the pipe before the output ends; the
+    # read end is closed before the child writes, so the write always fails
+    src = str(Path(artinflats.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "artinflats.cli", "polarisations", "--type", "E244", "--scale", "2", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -66,6 +66,75 @@ def test_enumerate_admissible_frozen_x2():
         assert len(enumerate_admissible(patch)) == count
 
 
+def set_intersection_enumerate_admissible(patch):
+    """Reference: the exact cover as it was before the per-item counts,
+    picking each branching item by intersecting its option set with the
+    active options."""
+    n_v = patch.vertex_count()
+    options = []
+    for cell in patch.cells:
+        for d in range(cell.m):
+            a, b = diagonal_vertices(cell, d)
+            options.append((cell.index, d, (a, b, n_v + cell.index)))
+    item_options = {}
+    for oi, (_, _, items) in enumerate(options):
+        for it in items:
+            item_options.setdefault(it, set()).add(oi)
+    active_items = set(item_options)
+    active_options = set(range(len(options)))
+    chosen = []
+    results = []
+
+    def cover(oi):
+        removed_items, removed_options = [], []
+        for it in options[oi][2]:
+            if it not in active_items:
+                continue
+            active_items.discard(it)
+            removed_items.append(it)
+            for other in item_options[it]:
+                if other in active_options:
+                    active_options.discard(other)
+                    removed_options.append(other)
+        return removed_items, removed_options
+
+    def uncover(removed):
+        removed_items, removed_options = removed
+        active_options.update(removed_options)
+        active_items.update(removed_items)
+
+    def search():
+        if not active_items:
+            results.append({options[oi][0]: options[oi][1] for oi in chosen})
+            return
+        item = min(
+            active_items,
+            key=lambda it: (len(item_options[it] & active_options), it),
+        )
+        for oi in sorted(item_options[item] & active_options):
+            chosen.append(oi)
+            removed = cover(oi)
+            search()
+            uncover(removed)
+            chosen.pop()
+
+    search()
+    return results
+
+
+@pytest.mark.parametrize(
+    "name,scale",
+    [(n, s) for n in ("E333", "E244", "E236") for s in (1, 2, 3)] + [("SQUARE", 2), ("SQUARE", 3)],
+)
+def test_enumerate_admissible_matches_set_intersection_reference(name, scale):
+    # the same polarisations in the same order, each with its cells in
+    # the same order
+    patch = scaled_patch(TriangleType[name], scale)
+    got = [list(l.items()) for l in enumerate_admissible(patch)]
+    want = [list(l.items()) for l in set_intersection_enumerate_admissible(patch)]
+    assert got == want
+
+
 def test_naive_agrees_at_x2_e333():
     patch = scaled_patch(TriangleType.E333, 2)
     smart = enumerate_admissible(patch)

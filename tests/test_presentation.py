@@ -100,9 +100,15 @@ def test_from_dict_rejects_malformed_documents():
         {"generators": ["s", "t"], "exponents": {"s": 3}},
         {"generators": ["s", "t"], "exponents": [["s", "t"]]},
         {"generators": ["s", "t"], "exponents": ["st3"]},
+        {"generators": ["s", "t"], "exponents": [["s", "t", 3], ["s", "t", 4]]},
+        {"generators": ["s", "t"], "exponents": [["s", "t", 3], ["t", "s", 4]]},
     ):
         with pytest.raises(ValueError):
             ArtinPresentation.from_dict(data)
+    # an equal repeat, in either order, is the same presentation
+    for exps in ([["s", "t", 3], ["s", "t", 3]], [["s", "t", 3], ["t", "s", 3]]):
+        pres = ArtinPresentation.from_dict({"generators": ["s", "t"], "exponents": exps})
+        assert pres.m("s", "t") == 3
 
 
 def test_two_dimensional():

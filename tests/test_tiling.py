@@ -9,11 +9,15 @@ boundary spells a relator.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from artinflats.dihedral import is_trivial, subpresentation
+from artinflats.polarisation import enumerate_admissible, rigidity_witnesses
 from artinflats.tiling import (
+    _cell_checks,
+    _cell_consistent,
     _reduce_mod,
     DirectedEdge,
     IncompatibleLatticeError,
@@ -193,3 +197,94 @@ def test_lift_directions_is_periodic(patch333):
         assert lifted[e.index].label == d[coarse_edge.index].label
     with pytest.raises(ValueError):
         lift_directions(patch333, big, standard_directions(big))
+
+
+def _reference_cell_checks(patch, cell, d) -> set[str]:
+    """The failed checks of one cell, from the definitions: a long label
+    must be mirrored on the opposite edge, and the boundary word must be
+    trivial in the cell's dihedral Artin group."""
+    failed = set()
+    n = len(cell.edges)
+    for k in range(n):
+        label = d[cell.edges[k]].label
+        if label >= 2 and d[cell.edges[(k + n // 2) % n]].label != label:
+            failed.add("long-pairing")
+    sub = subpresentation(patch.presentation, *cell.pair)
+    if not is_trivial(sub, boundary_word(patch, cell, d)):
+        failed.add("cell-word")
+    return failed
+
+
+@pytest.mark.parametrize("name", sorted(PATCH_SHAPE))
+def test_cell_consistent_matches_cell_checks(name):
+    # half the draws are uniform, half perturb a consistent assignment in
+    # one or two edges, so that both verdicts occur on every cell size
+    patch = minimal_patch(TriangleType[name])
+    consistent = enumerate_consistent_directions(patch)
+    rng = random.Random(len(patch.edges))
+    verdicts = {True: 0, False: 0}
+    for i in range(2000):
+        if i % 2:
+            d = dict(rng.choice(consistent))
+            touched = rng.sample(range(len(patch.edges)), rng.randint(1, 2))
+        else:
+            d = {}
+            touched = range(len(patch.edges))
+        for ei in touched:
+            e = patch.edges[ei]
+            d[ei] = DirectedEdge(rng.choice((e.u, e.v)), rng.choice((1, 1, 2, 3)))
+        for cell in patch.cells:
+            ok = _cell_consistent(patch, cell, d)
+            checks = _cell_checks(patch, cell, d)
+            assert ok == (not checks)
+            assert {v.check for v in checks} == _reference_cell_checks(patch, cell, d)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 500, verdicts
+
+
+def _reference_reduce_mod(basis, v):
+    (a1, b1), (a2, b2) = basis
+    det = a1 * b2 - b1 * a2
+    fa = (Fraction(v[0] * b2 - v[1] * a2, det)).__floor__()
+    fb = (Fraction(a1 * v[1] - b1 * v[0], det)).__floor__()
+    return (v[0] - fa * a1 - fb * a2, v[1] - fa * b1 - fb * b2)
+
+
+def test_reduce_mod_matches_fraction_reference():
+    bases = [translation_lattice(tt) for tt in TriangleType]
+    bases += [scaled_patch(TriangleType[name], 3).lattice for name in PATCH_SHAPE]
+    # a negative determinant, and first basis vectors with b1 != 0
+    bases += [((0, 5), (3, 0)), ((2, 7), (-3, 4)), ((4, -1), (1, 2)), ((-5, 3), (2, -7))]
+    rng = random.Random(11)
+    for basis in bases:
+        (a1, b1), (a2, b2) = basis
+        det = a1 * b2 - b1 * a2
+        for _ in range(300):
+            v = (rng.randint(-200, 200), rng.randint(-200, 200))
+            r = _reduce_mod(basis, v)
+            assert r == _reference_reduce_mod(basis, v)
+            # r lies in the half-open fundamental parallelogram of the basis
+            alpha = Fraction(r[0] * b2 - r[1] * a2, det)
+            beta = Fraction(a1 * r[1] - b1 * r[0], det)
+            assert 0 <= alpha < 1 and 0 <= beta < 1
+    with pytest.raises(ValueError):
+        _reduce_mod(((1, 2), (2, 4)), (3, 3))
+
+
+def test_translation_matches_translate_vertex_and_cell():
+    for name in PATCH_SHAPE:
+        for scale in (1, 2):
+            patch = scaled_patch(TriangleType[name], scale)
+            rhos = {
+                w.rho for l in enumerate_admissible(patch) for w in rigidity_witnesses(patch, l)
+            }
+            assert rhos
+            for rho in sorted(rhos) + [patch.lattice[0], (0, 0)]:
+                vmap, cmap = patch.translation(rho)
+                assert vmap == [patch.translate_vertex(v, rho) for v in range(len(patch.positions))]
+                assert cmap == [patch.translate_cell(c, rho).index for c in patch.cells]
+                assert patch.translation(rho) is patch.translation(rho)
+            # a vector outside the type-preserving lattice does not act
+            assert patch.translation((1, 0)) is None
+            with pytest.raises(KeyError):
+                patch.translate_vertex(0, (1, 0))
