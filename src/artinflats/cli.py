@@ -445,32 +445,20 @@ def cmd_families(args) -> int:
         if not (args.presentation and args.left and args.right):
             raise UsageError("case a needs --presentation, --left and --right")
         pres = _load_presentation(args.presentation)
-        left = _parse_word(args.left, pres)
-        right = _parse_word(args.right, pres)
-        try:
-            w1, w2 = family("a", presentation=pres, left=left, right=right)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        payload = {"case": "a", "w1": str(w1), "w2": str(w2)}
-        if args.verify:
-            cert = verify_abelian("a", presentation=pres, left=left, right=right, budget=budget)
+        words = {"presentation": pres, "left": _parse_word(args.left, pres), "right": _parse_word(args.right, pres)}
+        exps, payload = None, {"case": "a"}
     else:
         if not args.exponents:
             raise UsageError(f"case {args.case} needs --exponents")
-        exps = _parse_exponents(args.case, args.exponents)
-        try:
-            w1, w2 = family(args.case, exps)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        payload = {
-            "case": args.case,
-            "exponents": [list(e) if isinstance(e, tuple) else e for e in exps],
-            "w1": str(w1),
-            "w2": str(w2),
-        }
-        if args.verify:
-            cert = verify_abelian(args.case, exps, budget=budget)
+        exps, words = _parse_exponents(args.case, args.exponents), {}
+        payload = {"case": args.case, "exponents": [list(e) if isinstance(e, tuple) else e for e in exps]}
+    try:
+        w1, w2 = family(args.case, exps, **words)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    payload.update(w1=str(w1), w2=str(w2))
     if args.verify:
+        cert = verify_abelian(args.case, exps, budget=budget, **words)
         if not replay(cert):
             print("commutator certificate FAILED to replay", file=sys.stderr)
             return EXIT_VERIFY

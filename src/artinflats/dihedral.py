@@ -208,10 +208,6 @@ class OracleBudgetError(RuntimeError):
         self.visited = visited
 
 
-def _swapcase(s: str) -> str:
-    return s.swapcase()
-
-
 def _alternating(m: int, start: int) -> str:
     return "".join("ab"[(start + i) % 2] for i in range(m))
 
@@ -220,14 +216,14 @@ def _alternating(m: int, start: int) -> str:
 def balanced_rules(m: int) -> dict[str, tuple[str, ...]]:
     """u -> v rewrites with |u| = |v| = m, from every rotation of the
     defining relator and of its inverse.  Closed under rule inversion."""
-    relator = _alternating(m, 0) + _swapcase(_alternating(m, 1)[::-1])
-    inverse = _swapcase(relator[::-1])
+    relator = _alternating(m, 0) + _alternating(m, 1)[::-1].swapcase()
+    inverse = relator[::-1].swapcase()
     rules: dict[str, set[str]] = {}
     for base in (relator, inverse):
         for r in range(2 * m):
             rot = base[r:] + base[:r]
             u, tail = rot[:m], rot[m:]
-            v = _swapcase(tail[::-1])
+            v = tail[::-1].swapcase()
             if u != v:
                 rules.setdefault(u, set()).add(v)
     return {u: tuple(sorted(vs)) for u, vs in sorted(rules.items())}

@@ -87,9 +87,6 @@ class ArtinPresentation:
     def __hash__(self) -> int:
         return hash((self.generators, frozenset(self._table.items())))
 
-    def index(self, g: str) -> int:
-        return self._index[g]
-
     def m(self, a: str, b: str) -> ExponentValue:
         if a not in self._index or b not in self._index or a == b:
             raise KeyError(f"bad generator pair ({a!r}, {b!r})")
@@ -279,9 +276,6 @@ class Word:
     def substitute(self, mapping: dict[str, str]) -> "Word":
         """Rename generators; the result is re-reduced."""
         return reduce((mapping.get(s.generator, s.generator), s.exponent) for s in self.syllables)
-
-
-EMPTY_WORD = Word()
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ moves, each of which is checkable in isolation:
 
     cancel  -- delete an adjacent inverse pair  g^e g^-e  at a position
     insert  -- insert such a pair
-    relator -- replace a length-m window matching the left side of a
-               balanced relator rule by its right side
+    relator -- replace a window u by v, where u -> v is a balanced
+               relator rule: {"kind": "relator", "pos": 3,
+               "from": "s1 t1 s1", "to": "t1 s1 t1"} in JSON version 2
 
-Balanced rules come from the rotations of each defining relator and of
-its inverse, so the rule set is closed under inversion and certificates
-can be inverted move by move.  `replay` is a tiny independent
-interpreter: it shares no code with the search and validates every move
-against the current letter string.
+`replay` is a tiny independent interpreter that shares no code with the
+search.  It reads the pair off a window's letters and checks the window
+from m alone, in O(m), as a rotation of the defining relator or of its
+inverse.  A move inverts by swapping u and v and mirrors by inverting
+both.  Version 1 relator moves named a rule by its index in the
+search's table; they are converted to windows for m <= V1_MAX_M.
 
 The search works on freely reduced letter tuples.  A transition is a
 rule application or a whole-relator insertion followed by free
@@ -33,14 +35,14 @@ from __future__ import annotations
 
 import json
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from artinflats.presentation import ArtinPresentation, Word
 
 Letter = tuple[str, int]  # (generator, +1 or -1)
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 class ReplayError(ValueError):
@@ -61,33 +63,58 @@ class SearchBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _strict(ok: bool, message: str) -> None:
+    if not ok:
+        raise ReplayError(message)
+
+
+def _parse_window(text) -> tuple[Letter, ...]:
+    """Letters of a window string such as "s1 t-1 s1"."""
+    try:
+        syllables = Word.parse(text).syllables
+    except (AttributeError, ValueError) as exc:
+        raise ReplayError(f"bad relator window {text!r}: {exc}") from None
+    _strict(
+        len(syllables) == len(text.split()) and all(s.exponent in (1, -1) for s in syllables),
+        f"relator window {text!r} is not a string of letters g1 or g-1",
+    )
+    return tuple((s.generator, s.exponent) for s in syllables)
+
+
 @dataclass(frozen=True)
 class Move:
     kind: str  # "cancel" | "insert" | "relator"
     pos: int
     letter: Letter | None = None  # for cancel/insert
-    pair: tuple[str, str] | None = None  # for relator
-    variant: int | None = None
+    rule: tuple[tuple[Letter, ...], tuple[Letter, ...]] | None = None  # (u, v) for relator
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "pos": self.pos}
         if self.kind in ("cancel", "insert"):
             d["letter"] = [self.letter[0], self.letter[1]]
         else:
-            d["pair"] = list(self.pair)
-            d["variant"] = self.variant
+            d["from"], d["to"] = (str(Word.from_letters(side)) for side in self.rule)
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Move":
-        kind = d["kind"]
+    def from_dict(cls, d, v1: ArtinPresentation | None = None) -> "Move":
+        """Strictly parse a JSON move.  A version 1 relator move names its
+        rule as (pair, variant); `v1` is then the certificate's
+        presentation, and the move is converted to its window."""
+        _strict(isinstance(d, dict), f"a move is a JSON object, got {d!r}")
+        kind, pos, letter = d.get("kind"), d.get("pos"), d.get("letter")
+        _strict(type(pos) is int, f"move position must be an integer, got {pos!r}")
         if kind in ("cancel", "insert"):
-            g, s = d["letter"]
-            return cls(kind, int(d["pos"]), letter=(str(g), int(s)))
-        if kind == "relator":
-            a, b = d["pair"]
-            return cls(kind, int(d["pos"]), pair=(str(a), str(b)), variant=int(d["variant"]))
-        raise ReplayError(f"unknown move kind {kind!r}")
+            _strict(
+                isinstance(letter, list) and len(letter) == 2 and isinstance(letter[0], str)
+                and type(letter[1]) is int and letter[1] in (1, -1),
+                f"a move letter is [generator, 1 or -1], got {letter!r}",
+            )
+            return cls(kind, pos, letter=tuple(letter))
+        _strict(kind == "relator", f"unknown move kind {kind!r}")
+        if v1 is not None:
+            return cls(kind, pos, rule=_v1_rule(v1, d.get("pair"), d.get("variant")))
+        return cls(kind, pos, rule=(_parse_window(d.get("from")), _parse_window(d.get("to"))))
 
 
 def _inv(letter: Letter) -> Letter:
@@ -129,33 +156,66 @@ def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[
     return _rules_for(m, a, b)
 
 
-@lru_cache(maxsize=None)
-def _inverse_variant_table(m: int, a: str, b: str) -> dict[int, int]:
-    rules = _rules_for(m, a, b)
-    index = {rule: i for i, rule in enumerate(rules)}
-    return {i: index[(v, u)] for i, (u, v) in enumerate(rules)}
+# Version 1 relator moves index the O(m^2) table `_rules_for`, which is
+# built only up to this m when such a certificate is read.
+V1_MAX_M = 64
 
 
-@lru_cache(maxsize=None)
-def _mirror_variant_table(m: int, a: str, b: str) -> dict[int, int]:
-    # (u, v) -> (u^-1, v^-1) stays a balanced rule: rotations of the
-    # relator and its inverse are closed under word inversion.
-    rules = _rules_for(m, a, b)
-    index = {rule: i for i, rule in enumerate(rules)}
-    return {i: index[(_inv_word(u), _inv_word(v))] for i, (u, v) in enumerate(rules)}
+def _v1_rule(pres: ArtinPresentation, pair, variant) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    _strict(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(g, str) for g in pair)
+        and type(variant) is int,
+        f"a version 1 relator move names a pair [a, b] and a variant, got {pair!r}, {variant!r}",
+    )
+    m = _relator_m(pres, *pair)
+    _strict(m <= V1_MAX_M, f"version 1 certificates are read for m <= {V1_MAX_M} only, got m = {m}")
+    rules = _rules_for(m, *pair)
+    _strict(0 <= variant < len(rules), f"bad rule variant {variant}")
+    return rules[variant]
 
 
-def invert_move(pres: ArtinPresentation, move: Move) -> Move:
+def _relator_m(pres: ArtinPresentation, a: str, b: str) -> int:
+    try:
+        m = pres.m(a, b)
+    except KeyError as exc:
+        raise ReplayError(f"relator move on pair ({a}, {b}): {exc.args[0]}") from None
+    _strict(m is not None, f"relator move on pair ({a}, {b}): no relation")
+    return m
+
+
+def _check_window(pres: ArtinPresentation, u: tuple[Letter, ...], v: tuple[Letter, ...]) -> None:
+    """Raise ReplayError unless u -> v is a balanced relator rule.
+
+    That is: u and v spell a pair (a, b) with finite m, |u| = |v| = m,
+    u != v, and u v^-1 is a cyclic rotation of the defining relator
+    (a b a ...)(b a b ...)^-1 or of its inverse.  Those rotations are
+    exactly the words of length 2m that alternate a and b cyclically
+    and whose m positive letters are cyclically consecutive, which is
+    checked in O(m) from m alone.
+    """
+    gens = sorted({g for g, _ in u + v})
+    _strict(len(gens) == 2, f"relator window spells generators {gens}, not a pair")
+    m = _relator_m(pres, *gens)
+    _strict(len(u) == len(v) == m and u != v, f"window is not two distinct words of length m = {m}")
+    w = u + _inv_word(v)
+    if not (
+        all(w[i][0] != w[i - 1][0] for i in range(2 * m))
+        and sum(w[i][1] != w[i - 1][1] for i in range(2 * m)) == 2
+        and sum(s for _, s in w) == 0
+    ):
+        raise ReplayError(f"{Word.from_letters(u)} -> {Word.from_letters(v)} is not a relator rule of {tuple(gens)}")
+
+
+def invert_move(move: Move) -> Move:
     if move.kind == "cancel":
         return Move("insert", move.pos, letter=move.letter)
     if move.kind == "insert":
         return Move("cancel", move.pos, letter=move.letter)
-    a, b = move.pair
-    table = _inverse_variant_table(pres.m(a, b), a, b)
-    return Move("relator", move.pos, pair=move.pair, variant=table[move.variant])
+    u, v = move.rule
+    return Move("relator", move.pos, rule=(v, u))
 
 
-def mirror_move(pres: ArtinPresentation, move: Move, length: int) -> Move:
+def mirror_move(move: Move, length: int) -> Move:
     """Image of `move` under word inversion.
 
     `length` is the length of the word the move applies to.  Position i
@@ -169,44 +229,27 @@ def mirror_move(pres: ArtinPresentation, move: Move, length: int) -> Move:
         return Move("cancel", length - 2 - move.pos, letter=move.letter)
     if move.kind == "insert":
         return Move("insert", length - move.pos, letter=move.letter)
-    a, b = move.pair
-    m = pres.m(a, b)
-    table = _mirror_variant_table(m, a, b)
-    return Move("relator", length - move.pos - m, pair=move.pair, variant=table[move.variant])
+    u, v = move.rule
+    return Move("relator", length - move.pos - len(u), rule=(_inv_word(u), _inv_word(v)))
 
 
 def apply_move(pres: ArtinPresentation, letters: tuple[Letter, ...], move: Move) -> tuple[Letter, ...]:
     """Strictly validated single-move application (used by replay)."""
-    n = len(letters)
+    p, n = move.pos, len(letters)
     if move.kind == "cancel":
-        p = move.pos
-        if not (0 <= p <= n - 2):
-            raise ReplayError(f"cancel position {p} out of range")
-        if letters[p] != move.letter or letters[p + 1] != _inv(move.letter):
+        if not (0 <= p <= n - 2 and letters[p] == move.letter and letters[p + 1] == _inv(move.letter)):
             raise ReplayError(f"cancel at {p} does not match {move.letter}")
         return letters[:p] + letters[p + 2 :]
     if move.kind == "insert":
-        p = move.pos
-        if not (0 <= p <= n):
-            raise ReplayError(f"insert position {p} out of range")
         g, s = move.letter
-        if g not in pres.generators or s not in (1, -1):
-            raise ReplayError(f"bad letter {move.letter}")
+        if not (0 <= p <= n and g in pres.generators and s in (1, -1)):
+            raise ReplayError(f"cannot insert {move.letter} at {p}")
         return letters[:p] + (move.letter, _inv(move.letter)) + letters[p:]
     if move.kind == "relator":
-        a, b = move.pair
-        try:
-            rules = relator_rules(pres, a, b)
-        except (KeyError, ValueError) as exc:
-            raise ReplayError(f"relator move on pair ({a}, {b}): {exc.args[0]}") from None
-        if not (0 <= move.variant < len(rules)):
-            raise ReplayError(f"bad rule variant {move.variant}")
-        u, v = rules[move.variant]
-        p = move.pos
-        if not (0 <= p <= n - len(u)):
-            raise ReplayError(f"relator position {p} out of range")
-        if letters[p : p + len(u)] != u:
-            raise ReplayError(f"window at {p} does not match rule {move.variant} of ({a},{b})")
+        u, v = move.rule
+        _check_window(pres, u, v)
+        if p < 0 or letters[p : p + len(u)] != u:
+            raise ReplayError(f"window at {p} does not read {Word.from_letters(u)}")
         return letters[:p] + v + letters[p + len(u) :]
     raise ReplayError(f"unknown move kind {move.kind!r}")
 
@@ -222,32 +265,32 @@ class Certificate:
     start: Word
     end: Word
     moves: tuple[Move, ...]
-    version: int = CERTIFICATE_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "presentation": self.presentation.to_dict(),
-                "start": str(self.start),
-                "end": str(self.end),
-                "moves": [m.to_dict() for m in self.moves],
-            },
-            indent=2,
-        )
+        data = {
+            "version": CERTIFICATE_VERSION, "presentation": self.presentation.to_dict(),
+            "start": str(self.start), "end": str(self.end), "moves": [m.to_dict() for m in self.moves],
+        }
+        return json.dumps(data, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        data = json.loads(text)
-        if data.get("version") != CERTIFICATE_VERSION:
-            raise ReplayError(f"unsupported certificate version {data.get('version')!r}")
-        return cls(
-            presentation=ArtinPresentation.from_dict(data["presentation"]),
-            start=Word.parse(data["start"]),
-            end=Word.parse(data["end"]),
-            moves=tuple(Move.from_dict(m) for m in data["moves"]),
-            version=data["version"],
+        """Strictly parse a version 2 certificate, or a version 1 one
+        whose relator moves are converted to windows (m <= V1_MAX_M)."""
+        try:
+            data = json.loads(text)
+            version, moves = data["version"], data["moves"]
+            pres = ArtinPresentation.from_dict(data["presentation"])
+            start, end = (Word.parse(data[key]) for key in ("start", "end"))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ReplayError(f"bad certificate: {exc!r}") from None
+        _strict(
+            type(version) is int and version in (1, CERTIFICATE_VERSION),
+            f"unsupported certificate version {version!r}",
         )
+        _strict(isinstance(moves, list), "moves must be a list")
+        v1 = pres if version == 1 else None
+        return cls(pres, start, end, tuple(Move.from_dict(m, v1) for m in moves))
 
 
 def replay(cert: Certificate) -> bool:
@@ -262,7 +305,7 @@ def replay(cert: Certificate) -> bool:
 
 
 def invert_certificate(cert: Certificate) -> Certificate:
-    moves = tuple(invert_move(cert.presentation, m) for m in reversed(cert.moves))
+    moves = tuple(invert_move(m) for m in reversed(cert.moves))
     return Certificate(cert.presentation, cert.end, cert.start, moves)
 
 
@@ -275,11 +318,9 @@ def mirror_certificate(cert: Certificate) -> Certificate:
     letters = tuple(cert.start.letters())
     moves = []
     for mv in cert.moves:
-        moves.append(mirror_move(cert.presentation, mv, len(letters)))
+        moves.append(mirror_move(mv, len(letters)))
         letters = apply_move(cert.presentation, letters, mv)
-    return Certificate(
-        cert.presentation, cert.start.inverse(), cert.end.inverse(), tuple(moves)
-    )
+    return Certificate(cert.presentation, cert.start.inverse(), cert.end.inverse(), tuple(moves))
 
 
 def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
@@ -301,21 +342,16 @@ def conjugated_certificate(cert: Certificate, w: Word) -> Certificate:
     wl = tuple(w.letters())
     raw = wl + tuple(cert.start.letters()) + _inv_word(wl)
     _, red_moves = reduction_moves(raw)
-    moves = [invert_move(pres, m) for m in reversed(red_moves)]
+    moves = [invert_move(m) for m in reversed(red_moves)]
     moves.extend(_shift_moves(cert.moves, len(wl)))
     end_raw = wl + tuple(cert.end.letters()) + _inv_word(wl)
     _, end_moves = reduction_moves(end_raw)
     moves.extend(end_moves)
-    return Certificate(
-        pres, Word.from_letters(raw), Word.from_letters(end_raw), tuple(moves)
-    )
+    return Certificate(pres, Word.from_letters(raw), Word.from_letters(end_raw), tuple(moves))
 
 
 def _shift_moves(moves: tuple[Move, ...], offset: int) -> tuple[Move, ...]:
-    return tuple(
-        Move(m.kind, m.pos + offset, letter=m.letter, pair=m.pair, variant=m.variant)
-        for m in moves
-    )
+    return tuple(replace(m, pos=m.pos + offset) for m in moves)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +467,15 @@ def _transitions(rules: _Rules, letters: tuple[int, ...], max_len: int):
 def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tuple[tuple[Move, ...], tuple[Letter, ...]]:
     """Turn one search transition into elementary moves from `letters`."""
     kind, pos, pair, variant = op
-    a, b = pair
-    rules = relator_rules(pres, a, b)
-    u, v = rules[variant]
+    u, v = relator_rules(pres, *pair)[variant]
     m = len(u)
     moves: list[Move] = []
     if kind == "rewrite":
-        moves.append(Move("relator", pos, pair=pair, variant=variant))
+        moves.append(Move("relator", pos, rule=(u, v)))
         mid = letters[:pos] + v + letters[pos + m :]
     else:  # insert u * v^-1 at pos, built as v v^-1 then one rewrite v -> u
-        for j in range(m):
-            moves.append(Move("insert", pos + j, letter=v[j]))
-        inv_variant = _inverse_variant_table(m, a, b)[variant]
-        moves.append(Move("relator", pos, pair=pair, variant=inv_variant))
+        moves.extend(Move("insert", pos + j, letter=l) for j, l in enumerate(v))
+        moves.append(Move("relator", pos, rule=(v, u)))
         mid = letters[:pos] + u + _inv_word(v) + letters[pos:]
     red, rmoves = reduction_moves(mid)
     moves.extend(rmoves)
@@ -464,11 +496,7 @@ def _reconstruct(parents: dict, state: tuple) -> list:
 
 
 def _ops_to_moves(pres: ArtinPresentation, rules: _Rules, chain: list) -> tuple[Move, ...]:
-    moves: list[Move] = []
-    for prev, op in chain:
-        step_moves, _ = _expand_op(pres, rules.decode(prev), op)
-        moves.extend(step_moves)
-    return tuple(moves)
+    return tuple(mv for prev, op in chain for mv in _expand_op(pres, rules.decode(prev), op)[0])
 
 
 def _bidirectional_search(
@@ -489,11 +517,8 @@ def _bidirectional_search(
     visited_total = 2
 
     def assemble(meet: tuple) -> tuple[Move, ...]:
-        fwd = _ops_to_moves(pres, rules, _reconstruct(sides[0]["parents"], meet))
-        back_chain = _reconstruct(sides[1]["parents"], meet)
-        back_moves = _ops_to_moves(pres, rules, back_chain)  # target -> meet
-        inverted = tuple(invert_move(pres, m) for m in reversed(back_moves))
-        return fwd + inverted
+        fwd, back = (_ops_to_moves(pres, rules, _reconstruct(side["parents"], meet)) for side in sides)
+        return fwd + tuple(invert_move(m) for m in reversed(back))  # back: target -> meet
 
     while (sides[0]["heap"] or sides[1]["heap"]) and visited_total < budget.max_states:
         idx = 0 if sides[0]["heap"] and (
@@ -603,7 +628,7 @@ def prove_conjugation(
     gl, xl = tuple(g.letters()), tuple(x.letters())
     raw = gl + xl + _inv_word(gl)
     red, red_moves = reduction_moves(raw)
-    restore = tuple(invert_move(pres, m) for m in reversed(red_moves))
+    restore = tuple(invert_move(m) for m in reversed(red_moves))
     start = Word.from_letters(raw)
     # Peel the conjugator from the inside: the word is
     # (g^-1)^-1 x (g^-1), so the chain argument is g^-1.
@@ -637,7 +662,7 @@ def commutator_from_conjugation(conj: Certificate) -> Certificate:
     xl = tuple(conj.end.letters())
     raw = tuple(conj.start.letters()) + _inv_word(xl)
     red, red_moves = reduction_moves(raw)
-    restore = tuple(invert_move(pres, m) for m in reversed(red_moves))
+    restore = tuple(invert_move(m) for m in reversed(red_moves))
     moves = list(restore) + list(conj.moves)
     _, cancels = reduction_moves(xl + _inv_word(xl))
     moves.extend(cancels)
@@ -673,15 +698,14 @@ def conjugation_product(
             raise ValueError("certificate start is not red(g f g^-1)")
     raw = gl + whole + _inv_word(gl)
     red, red_moves = reduction_moves(raw)
-    moves: list[Move] = [invert_move(pres, m) for m in reversed(red_moves)]
+    moves: list[Move] = [invert_move(m) for m in reversed(red_moves)]
     done = 0  # letters already finalised on the left
     for i, (cert, fl) in enumerate(zip(certs, fls)):
         if i < len(fls) - 1:
             # insert g^-1 g right after f_i: sequential pair inserts
             # build inv(g_n)...inv(g_1) g_1...g_n left to right.
             at = done + len(gl) + len(fl)
-            for j in range(len(gl)):
-                moves.append(Move("insert", at + j, letter=_inv(gl[len(gl) - 1 - j])))
+            moves.extend(Move("insert", at + j, letter=l) for j, l in enumerate(_inv_word(gl)))
         # the span [done : done+|g|+|f_i|+|g|] now spells g f_i g^-1
         _, span_moves = reduction_moves(gl + fl + _inv_word(gl))
         moves.extend(_shift_moves(span_moves, done))
@@ -737,27 +761,20 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
         tail = _bidirectional_search(pres, h, vr, budget)
         if tail is not None:
             moves = u_moves + chain_moves + tail + tuple(
-                invert_move(pres, m) for m in reversed(v_moves)
+                invert_move(m) for m in reversed(v_moves)
             )
             return Certificate(pres, u, v, moves)
     direct = _bidirectional_search(pres, ur, vr, budget)
     if direct is not None:
-        moves = u_moves + direct + tuple(invert_move(pres, m) for m in reversed(v_moves))
+        moves = u_moves + direct + tuple(invert_move(m) for m in reversed(v_moves))
         return Certificate(pres, u, v, moves)
     product = u * v.inverse()
     triv = prove_trivial(pres, product, budget)
     if triv is None:
         return None
-    # u -> u v^-1 v -> (empty) v
-    moves = []
-    n = len(vl)
-    for j in range(n):
-        moves.append(Move("insert", len(ul) + j, letter=_inv(vl[n - 1 - j])))
-    spliced = ul + _inv_word(vl) + vl
-    red, rmoves = reduction_moves(spliced[: len(ul) + n])
-    # reduce only the u v^-1 prefix; suffix v untouched by positions
-    moves.extend(rmoves)
+    # u -> u v^-1 v, then the u v^-1 prefix reduces and is erased, leaving v
+    inserts = tuple(Move("insert", len(ul) + j, letter=l) for j, l in enumerate(_inv_word(vl)))
+    red, rmoves = reduction_moves(ul + _inv_word(vl))
     if red != tuple(product.letters()):
         raise AssertionError("free reduction mismatch while repackaging")
-    moves.extend(triv.moves)
-    return Certificate(pres, u, v, tuple(moves))
+    return Certificate(pres, u, v, inserts + rmoves + triv.moves)

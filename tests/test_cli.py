@@ -4,17 +4,20 @@ Exit contract: 0 success, 1 usage, 2 verification failure, 3 budget.
 Rendering is covered by byte-comparison against the golden files.
 """
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import artinflats
 from artinflats.presentation import ArtinPresentation
-from artinflats.prover import Certificate, replay
+from artinflats.prover import V1_MAX_M, Certificate, ReplayError, replay
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,12 +138,13 @@ def test_replay_rejects_tampering(run_cli, pres_files, tmp_path):
     bad.write_text(json.dumps(data))
     code, _, err = run_cli("replay", str(bad))
     assert code == 2 and "FAILED" in err
-    # a relator move on an unknown pair, then on a pair with no relation
+    # a relator window on an unknown pair, then on a pair with no relation
     data["moves"][0]["pos"] -= 1
     move = next(m for m in data["moves"] if m["kind"] == "relator")
-    for generators, pair in ((["s", "t"], ["s", "x"]), (["r", "s", "t"], ["s", "r"])):
+    window = move["from"], move["to"]
+    for generators, gen in ((["s", "t"], "x"), (["r", "s", "t"], "r")):
         data["presentation"]["generators"] = generators
-        move["pair"] = pair
+        move["from"], move["to"] = (side.replace("t", gen) for side in window)
         bad.write_text(json.dumps(data))
         code, _, err = run_cli("replay", str(bad))
         assert code == 2 and "FAILED" in err and "Traceback" not in err
@@ -148,6 +152,44 @@ def test_replay_rejects_tampering(run_cli, pres_files, tmp_path):
     garbage.write_text("{not json")
     assert run_cli("replay", str(garbage))[0] == 2
     assert run_cli("replay", str(tmp_path / "missing.json"))[0] == 1
+
+
+README_COMMUTATOR = ("--commutator", "s1 t1 s1 s1 t1 s1", "t-1 s1 t1")
+
+
+def test_v1_certificate_replays_and_upgrades_to_the_v2_moves(run_cli, pres_files, tmp_path):
+    v1 = GOLDEN / "cert_v1_commutator.json"
+    code, out, _ = run_cli("replay", str(v1))
+    assert code == 0 and "in 33 moves" in out
+    cert_file = tmp_path / "cert.json"
+    args = ("prove", "--presentation", pres_files["m3"], *README_COMMUTATOR, "-o", str(cert_file))
+    assert run_cli(*args)[0] == 0
+    assert json.loads(cert_file.read_text())["version"] == 2
+    old, new = (Certificate.from_json(f.read_text()) for f in (v1, cert_file))
+    assert old.moves == new.moves and old == new
+    # the v1 rule table is built only up to V1_MAX_M
+    data = json.loads(v1.read_text())
+    data["presentation"]["exponents"][0][2] = V1_MAX_M + 1
+    with pytest.raises(ReplayError, match=f"m <= {V1_MAX_M}"):
+        Certificate.from_json(json.dumps(data))
+    data["presentation"]["exponents"][0][2] = V1_MAX_M
+    assert not replay(Certificate.from_json(json.dumps(data)))
+
+
+def test_replay_of_a_huge_exponent_fails_fast(run_cli, pres_files, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    run_cli("prove", "--presentation", pres_files["m3"], *README_COMMUTATOR, "-o", str(cert_file))
+    bad = tmp_path / "bad.json"
+    for source in (cert_file, GOLDEN / "cert_v1_commutator.json"):
+        data = json.loads(source.read_text())
+        for m in (10_000, 10**9):
+            data["presentation"]["exponents"][0][2] = m
+            bad.write_text(json.dumps(data))
+            t0 = time.perf_counter()
+            code, _, err = run_cli("replay", str(bad))
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 2 and ("FAILED" in err or "does not parse" in err)
+            assert "Traceback" not in err
 
 
 def test_prove_budget_exit(run_cli, pres_files):
@@ -273,3 +315,94 @@ def test_closed_stdout_is_a_usage_error_not_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# seeded field mutations of every JSON input
+# ---------------------------------------------------------------------------
+
+# Values a mutant puts in place of a field.  Exponents stay at most 10,000:
+# `normalize` on an m = 10^9 presentation is still linear in m per inverse
+# letter (ROADMAP item 3), so that value is a named replay mutant only.
+FUZZ_VALUES = (
+    None, True, False, 0, 1, -1, 2, 3, 7, 0.7, -2.5, 10_000, "", "0", "1", "s1", "x",
+    "s1 t1 s1", "t-1 s1", "s", [], {}, [1], ["s", 1], ["s", "t", 3], [0, 1], {"s": 1},
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, rng):
+    """`doc` with one field replaced, deleted or nudged."""
+    path = rng.choice(list(_paths(doc)))
+    if not path:
+        return rng.choice(FUZZ_VALUES)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    op = rng.randrange(3)
+    if op == 0:
+        parent[key] = rng.choice(FUZZ_VALUES)
+    elif op == 1:
+        del parent[key]
+    elif isinstance(value, bool) or not isinstance(value, (int, str)):
+        parent[key] = copy.deepcopy(rng.choice(list(parent.values()) if isinstance(parent, dict) else parent))
+    elif isinstance(value, int):
+        parent[key] = value + rng.choice((-1, 1, -value, -2 * value))
+    else:
+        parent[key] = rng.choice((value[:-1], value + value, value.swapcase(), value.replace("1", "-1")))
+    return doc
+
+
+def test_seeded_field_mutations_end_cleanly(run_cli, pres_files, tmp_path):
+    from artinflats.polarisation import induced, polarisation_to_json
+    from artinflats.tiling import TriangleType, minimal_patch, standard_directions
+
+    cert_file = tmp_path / "cert.json"
+    run_cli("prove", "--presentation", pres_files["m3"], *README_COMMUTATOR, "-o", str(cert_file))
+    patch = minimal_patch(TriangleType.E333)
+    bad = str(tmp_path / "mutant.json")
+    targets = {
+        "certificate": (json.loads(cert_file.read_text()), ("replay", bad)),
+        "presentation": (
+            json.loads(Path(pres_files["m3"]).read_text()),
+            ("normalize", "--presentation", bad, "s1 t-1 s1 t1"),
+        ),
+        "polarisation": (
+            json.loads(polarisation_to_json(patch, induced(patch, standard_directions(patch)))),
+            ("render", "--type", "E333", "--polarisation", f"file:{bad}", "-o", str(tmp_path / "x.svg")),
+        ),
+    }
+    rng = random.Random(2020)
+    for name, (doc, args) in targets.items():
+        for _ in range(150):
+            mutant = _mutate(doc, rng)
+            Path(bad).write_text(json.dumps(mutant))
+            t0 = time.perf_counter()
+            code, _, err = run_cli(*args)
+            assert time.perf_counter() - t0 < 5.0, (name, mutant)
+            assert code in (0, 1, 2) and "Traceback" not in err, (name, mutant, err)
+    # named certificate mutants that must fail verification
+    cert = targets["certificate"][0]
+    first_move = cert["moves"][0]
+    for path, value in (
+        (("version",), True),
+        (("moves", 0, "pos"), first_move["pos"] + 0.5),
+        (("presentation", "exponents", 0, 2), 10_000),
+        (("presentation", "exponents", 0, 2), 10**9),
+    ):
+        mutant = copy.deepcopy(cert)
+        target = mutant
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        Path(bad).write_text(json.dumps(mutant))
+        code, _, err = run_cli("replay", bad)
+        assert code == 2 and "Traceback" not in err, (path, value)

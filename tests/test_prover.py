@@ -1,12 +1,14 @@
 """Certificate search, replay, and the certificate transformations.
 
 Replay is a strict interpreter sharing no code with the search: every
-claimed move is re-derived from the presentation's balanced rules.  The
+relator window is checked from the presentation's exponent alone.  The
 transformation tests lean on randomly found certificates so that the
 mirror/conjugation algebra is exercised on real move sequences, not
 hand-picked ones.
 """
 
+import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +23,8 @@ from artinflats.prover import (
     _freely_reduce,
     _inv_word,
     _Rules,
+    _check_window,
+    _rules_for,
     _splice,
     _transitions,
     apply_move,
@@ -74,7 +78,9 @@ def test_apply_move_rejects_mismatches(m3):
     with pytest.raises(ReplayError):
         apply_move(m3, (), Move("cancel", 0, ("s", 1)))
     with pytest.raises(ReplayError):
-        apply_move(m3, (("s", 1),) * 3, Move("relator", 0, None, pair=("s", "t"), variant=99))
+        # the window matches the word, but s s s -> t s t is not a rule
+        sss, tst = (("s", 1),) * 3, (("t", 1), ("s", 1), ("t", 1))
+        apply_move(m3, sss, Move("relator", 0, rule=(sss, tst)))
 
 
 def test_replay_rejects_tampering(m3):
@@ -83,7 +89,7 @@ def test_replay_rejects_tampering(m3):
     # shift one move
     bad_moves = list(cert.moves)
     bad_moves[0] = Move(bad_moves[0].kind, bad_moves[0].pos + 1, bad_moves[0].letter,
-                        pair=bad_moves[0].pair, variant=bad_moves[0].variant)
+                        rule=bad_moves[0].rule)
     assert not replay(Certificate(m3, cert.start, cert.end, tuple(bad_moves)))
     # claim a different endpoint
     assert not replay(Certificate(m3, cert.start, Word.parse("s1"), cert.moves))
@@ -94,6 +100,101 @@ def test_certificate_json_roundtrip(m3):
     back = Certificate.from_json(cert.to_json())
     assert back == cert
     assert replay(back)
+
+
+def _accepts(pres, u, v):
+    try:
+        _check_window(pres, u, v)
+    except ReplayError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_check_window_accepts_exactly_the_rule_table(m):
+    # exhaustive over all pairs of m-letter words for m <= 4, seeded
+    # draws beyond: random words, two rule sides, and a rule with one
+    # letter redrawn
+    pres = ArtinPresentation(("a", "b"), {("a", "b"): m})
+    rules = _rules_for(m, "a", "b")
+    letters = [(g, s) for g in "ab" for s in (1, -1)]
+    if m <= 4:
+        words = list(itertools.product(letters, repeat=m))
+        pairs = itertools.product(words, words)
+    else:
+        rng = random.Random(m)
+        sides = [side for rule in rules for side in rule]
+        pairs = list(rules)
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                u, v = (tuple(rng.choice(letters) for _ in range(m)) for _ in "uv")
+            elif kind == 1:
+                u, v = rng.choice(sides), rng.choice(sides)
+            else:
+                u, v = rng.choice(rules)
+                i = rng.randrange(m)
+                u = u[:i] + (rng.choice(letters),) + u[i + 1 :]
+            pairs.append((u, v))
+    rule_set = set(rules)
+    for u, v in pairs:
+        assert _accepts(pres, u, v) == ((u, v) in rule_set), (u, v)
+
+
+def test_check_window_reads_the_pair_and_m_from_the_letters(e333):
+    u, v = _rules_for(3, "t", "r")[0]
+    _check_window(e333, u, v)
+    _check_window(e333, v, u)
+    for pres, why in (
+        (ArtinPresentation(("s", "t", "r"), {("t", "r"): 4}), "length"),
+        (ArtinPresentation(("s", "t", "r"), {("s", "t"): 3}), "no relation"),
+        (ArtinPresentation(("s", "t"), {("s", "t"): 3}), "unknown"),
+    ):
+        assert not _accepts(pres, u, v), why
+    assert not _accepts(e333, u, u)
+    assert not _accepts(e333, u + (("s", 1),), v + (("s", 1),))
+
+
+def test_certificate_json_rejects_loose_fields(m3):
+    cert = prove_trivial(m3, Word.parse("s1 t1 s1 t-1 s-1 t-1"))
+    text = cert.to_json()
+    assert Certificate.from_json(text).to_json() == text
+    good = json.loads(text)
+    kinds = [m["kind"] for m in good["moves"]]
+    lm, rm = ("moves", kinds.index("cancel")), ("moves", kinds.index("relator"))
+    edits = [
+        (("version",), True),
+        (("version",), 2.0),
+        (("version",), "2"),
+        (("version",), 3),
+        (lm + ("pos",), "0"),
+        (lm + ("pos",), 0.7),
+        (lm + ("pos",), True),
+        (rm + ("pos",), 1.0),
+        (lm + ("letter", 1), 2),
+        (lm + ("letter", 1), True),
+        (lm + ("letter", 1), 1.0),
+        (lm + ("letter", 0), 5),
+        (rm + ("from",), ["s1", "t1", "s1"]),
+        (rm + ("to",), None),
+        (rm + ("from",), "s2 t1"),
+        (rm + ("from",), "s0 t1 s1"),
+        (rm + ("kind",), "rewrite"),
+        (("moves",), {}),
+        (("start",), 5),
+        (("presentation",), []),
+    ]
+    for path, value in edits:
+        data = json.loads(text)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ReplayError):
+            Certificate.from_json(json.dumps(data))
+    for bad in ("{not json", "[]", "null"):
+        with pytest.raises(ReplayError):
+            Certificate.from_json(bad)
 
 
 # ---------------------------------------------------------------------------

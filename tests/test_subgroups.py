@@ -12,7 +12,15 @@ import random
 import pytest
 
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import Budget, SearchBudgetError, replay
+from artinflats import prover
+from artinflats.prover import (
+    Budget,
+    Certificate,
+    SearchBudgetError,
+    invert_certificate,
+    mirror_certificate,
+    replay,
+)
 from artinflats.subgroups import (
     FAMILY_CASES,
     abelianization_independent,
@@ -153,6 +161,29 @@ def test_klein_pair_and_composite():
             list(a2.inverse().letters()) + list(pair.gprime.letters()) + list(a2.letters())
         )
         assert comp.end == pair.gprime
+
+
+def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
+    from test_prover import found_certs
+
+    rng = random.Random(17)
+    certs = found_certs(m3, rng, 10) + found_certs(m4, rng, 10)
+    certs += [verify_abelian(case, list(exps)) for case, exps in VERIFY_MOVES]
+    for k in (1, -1, 2, -2):
+        pair = klein_pair(k)
+        certs += [pair.relation, pair.product, klein_composite(pair)]
+
+    def search_table(*args, **kwargs):
+        raise AssertionError("replay reached the search's rule table")
+
+    for name in ("_rules_for", "relator_rules", "_Rules"):
+        monkeypatch.setattr(prover, name, search_table)
+    for cert in certs:
+        assert replay(cert)
+        loaded = Certificate.from_json(cert.to_json())
+        assert loaded == cert and replay(loaded)
+        assert replay(invert_certificate(cert))
+        assert mirror_certificate(mirror_certificate(cert)) == cert
 
 
 def test_klein_pair_rejects_zero():
