@@ -146,13 +146,16 @@ def cmd_normalize(args) -> int:
 
 def cmd_girth_sweep(args) -> int:
     try:
-        total, trivial, agree = girth.girth_sweep(args.m, args.exponent_bound)
+        result = girth.girth_sweep(args.m, args.exponent_bound)
     except ValueError as exc:
         raise UsageError(str(exc))
-    pct = 100.0 * agree / total
-    print(f"m={args.m} bound={args.exponent_bound}: {total} words, {trivial} trivial")
-    print(f"classifier/oracle agreement {agree}/{total} ({pct:.1f}%)")
-    return EXIT_OK if agree == total else EXIT_VERIFY
+    total, agree = result.total, result.agree
+    print(f"m={args.m} bound={args.exponent_bound}: {total} words, {result.trivial} trivial")
+    print(f"classifier/oracle agreement {agree}/{total} ({100.0 * agree / total:.1f}%)")
+    if result.first_disagreement is None:
+        return EXIT_OK
+    print(f"first disagreement: {result.first_disagreement}")
+    return EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,11 @@ def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[
 # built only up to this m when such a certificate is read.
 V1_MAX_M = 64
 
+# `from_json` refuses a start or end word longer than this many letters:
+# replay expands both letter by letter, so a few bytes such as
+# "s1000000000" would otherwise ask for gigabytes.
+MAX_CERT_LETTERS = 10**6
+
 
 def _v1_rule(pres: ArtinPresentation, pair, variant) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
     _strict(
@@ -276,7 +281,8 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         """Strictly parse a version 2 certificate, or a version 1 one
-        whose relator moves are converted to windows (m <= V1_MAX_M)."""
+        whose relator moves are converted to windows (m <= V1_MAX_M).
+        Start and end words have at most MAX_CERT_LETTERS letters."""
         try:
             data = json.loads(text)
             version, moves = data["version"], data["moves"]
@@ -289,6 +295,11 @@ class Certificate:
             f"unsupported certificate version {version!r}",
         )
         _strict(isinstance(moves, list), "moves must be a list")
+        for key, word in (("start", start), ("end", end)):
+            _strict(
+                word.letter_length() <= MAX_CERT_LETTERS,
+                f"{key} word has more than {MAX_CERT_LETTERS} letters",
+            )
         v1 = pres if version == 1 else None
         return cls(pres, start, end, tuple(Move.from_dict(m, v1) for m in moves))
 

@@ -54,12 +54,12 @@ def test_criterion_1_girth_lemma_equivalence():
     ok = True
     parts = []
     for m, (want_total, want_trivial) in expected.items():
-        total, trivial, agree = girth_sweep(m, 2)
-        ok &= total == want_total and trivial == want_trivial and agree == total
-        parts.append(f"m={m} {agree}/{total}")
-    total, trivial, agree = girth_sweep(2, 3)
-    ok &= total == 1296 and trivial == 36 and agree == total
-    parts.append(f"m=2 {agree}/{total}")
+        r = girth_sweep(m, 2)
+        ok &= r.total == want_total and r.trivial == want_trivial and r.agree == r.total
+        parts.append(f"m={m} {r.agree}/{r.total}")
+    r = girth_sweep(2, 3)
+    ok &= r.total == 1296 and r.trivial == 36 and r.agree == r.total
+    parts.append(f"m=2 {r.agree}/{r.total}")
     _report(1, ok, "girth-lemma agreement " + ", ".join(parts))
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import artinflats
 from artinflats.presentation import ArtinPresentation
-from artinflats.prover import V1_MAX_M, Certificate, ReplayError, replay
+from artinflats.prover import MAX_CERT_LETTERS, V1_MAX_M, Certificate, ReplayError, replay
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,6 +190,22 @@ def test_replay_of_a_huge_exponent_fails_fast(run_cli, pres_files, tmp_path):
             assert time.perf_counter() - t0 < 1.0
             assert code == 2 and ("FAILED" in err or "does not parse" in err)
             assert "Traceback" not in err
+
+
+def test_replay_of_a_huge_start_word_fails_fast(run_cli, pres_files, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    run_cli("prove", "--presentation", pres_files["m3"], *README_COMMUTATOR, "-o", str(cert_file))
+    data = json.loads(cert_file.read_text())
+    data["moves"] = []
+    bad = tmp_path / "bad.json"
+    for letters, want in ((MAX_CERT_LETTERS, 0), (MAX_CERT_LETTERS + 1, 2), (10**9, 2)):
+        data["start"] = data["end"] = f"s{letters}"
+        bad.write_text(json.dumps(data))
+        t0 = time.perf_counter()
+        code, _, err = run_cli("replay", str(bad))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == want and "Traceback" not in err
+    assert f"more than {MAX_CERT_LETTERS} letters" in err
 
 
 def test_prove_budget_exit(run_cli, pres_files):

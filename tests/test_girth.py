@@ -3,8 +3,9 @@
 A nontrivial word with fewer than 2m syllables bounds no van Kampen
 diagram, and at exactly 2m syllables the trivial words form a single
 rotated one-parameter family.  The classifier is validated here against
-the Garside oracle over the full m = 3 sweep; the larger sweeps run in
-test_acceptance.
+the Garside oracle over the full m = 3 sweep, and the meet-in-the-middle
+`girth_sweep` against a word-by-word loop on every sweep of at most
+4,096 words; the larger sweeps run in test_acceptance.
 """
 
 import itertools
@@ -114,3 +115,57 @@ def test_full_sweep_m3():
 
 def test_minimum_boundary_syllables():
     assert [minimum_boundary_syllables(m) for m in (2, 3, 4, 5)] == [4, 6, 8, 10]
+
+
+def _word_by_word_sweep(m, bound):
+    """Reference route: one Word and one full normal form per word."""
+    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+    exps = [e for k in range(1, bound + 1) for e in (k, -k)]
+    total = trivial = agree = 0
+    first = None
+    for combo in itertools.product(exps, repeat=2 * m):
+        word = Word.from_letters(("st"[i % 2], e) for i, e in enumerate(combo))
+        matched = (classify_commutator(word) if m == 2 else classify(m, word)) is not None
+        oracle = is_trivial(pres, word)
+        total += 1
+        trivial += oracle
+        agree += matched == oracle
+        if matched != oracle and first is None:
+            first = word
+    return total, trivial, agree, first
+
+
+@pytest.mark.parametrize(
+    "m, bound", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
+)
+def test_girth_sweep_matches_word_by_word(m, bound):
+    result = girth.girth_sweep(m, bound)
+    assert tuple(result) == _word_by_word_sweep(m, bound)
+    assert result.agree == result.total and result.first_disagreement is None
+
+
+@pytest.fixture
+def misses_k_minus_1(monkeypatch):
+    """A mutant classifier core that never matches a template with k = -1."""
+    real = girth.match_exponents
+
+    def mutant(m, exps):
+        hit = real(m, exps)
+        return None if hit is not None and hit[0] == -1 else hit
+
+    monkeypatch.setattr(girth, "match_exponents", mutant)
+
+
+def test_girth_sweep_reports_the_first_disagreement(misses_k_minus_1, run_cli):
+    result = girth.girth_sweep(3, 1)
+    assert (result.total, result.trivial) == (64, 6) and result.agree < result.total
+    assert tuple(result) == _word_by_word_sweep(3, 1)
+    first = result.first_disagreement
+    assert first == Word.parse("s1 t1 s-1 t-1 s-1 t1")
+    assert rotate(first, 4) == template_word(3, -1) and is_trivial(
+        ArtinPresentation(("s", "t"), {("s", "t"): 3}), first
+    )
+    code, out, err = run_cli("girth-sweep", "-m", "3", "--exponent-bound", "1")
+    assert code == 2
+    assert f"agreement {result.agree}/64" in out and "first disagreement: s1 t1 s-1 t-1 s-1 t1" in out
+    assert "Traceback" not in err
