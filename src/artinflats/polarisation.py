@@ -8,7 +8,9 @@ propagation and (for cross-checking on small patches) by brute force.
 The exact cover keeps, per item, the number of active options holding
 it, updated when an option is covered or uncovered, and branches on the
 item with the fewest (ties to the smallest item), as in the counted
-columns of Knuth's Dancing Links.
+columns of Knuth's Dancing Links.  Completing a polarisation from its
+values on the maximal cells is the same exact cover, with those cells'
+options fixed before the search.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -124,9 +126,18 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
     """All admissible polarisations by exact cover: items are the
     vertices (each covered once) and the cells (each choosing one
     diagonal); deterministic branching on the most constrained item."""
+    return _exact_cover(patch, {})
+
+
+def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
+    """The exact cover of `enumerate_admissible` with each cell of
+    `fixed` held to its given diagonal (its option chosen before the
+    search)."""
     n_v = patch.vertex_count()
     options: list[tuple[int, int, tuple[int, ...]]] = []
+    first_option: dict[int, int] = {}
     for cell in patch.cells:
+        first_option[cell.index] = len(options)
         for d in range(cell.m):
             a, b = diagonal_vertices(cell, d)
             options.append((cell.index, d, (a, b, n_v + cell.index)))
@@ -178,6 +189,12 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
             uncover(removed)
             chosen.pop()
 
+    for ci, d in fixed.items():
+        oi = first_option[ci] + d
+        if oi not in active_options:
+            return []  # a diagonal end already taken by an earlier fixed cell
+        chosen.append(oi)
+        cover(oi)
     search()
     return results
 
@@ -405,47 +422,17 @@ def check_rigidity(patch: Patch, l: Polarisation) -> RigidityWitness:
 
 
 def determined_values(patch: Patch, partial: Polarisation) -> Polarisation | None:
-    """Complete a polarisation given only its values on maximal cells.
-    Returns the unique admissible completion, None if there is none,
-    and raises if the completion is ambiguous (the maximal cells are
-    expected to determine the rest)."""
+    """Complete a polarisation given only its values on maximal cells,
+    by the exact cover with those cells' options fixed.  Returns the
+    unique admissible completion, None if there is none, and raises if
+    the completion is ambiguous (the maximal cells are expected to
+    determine the rest)."""
     maximal = {c.index for c in patch.maximal_cells()}
     if set(partial) != maximal:
         raise ValueError("partial polarisation must cover exactly the maximal cells")
-    covered: dict[int, int] = {v: 0 for v in range(patch.vertex_count())}
     for ci, d in partial.items():
-        a, b = diagonal_vertices(patch.cells[ci], d)
-        covered[a] += 1
-        covered[b] += 1
-    if any(c > 1 for c in covered.values()):
-        return None
-    rest = [c for c in patch.cells if c.index not in maximal]
-    completions: list[Polarisation] = []
-
-    def backtrack(i: int, cov: dict[int, int]) -> None:
-        if len(completions) > 1:
-            return
-        if i == len(rest):
-            if all(c == 1 for c in cov.values()):
-                completions.append(
-                    {**partial, **{rest[j].index: sol[j] for j in range(len(rest))}}
-                )
-            return
-        cell = rest[i]
-        for d in range(cell.m):
-            a, b = diagonal_vertices(cell, d)
-            if cov[a] or cov[b]:
-                continue
-            cov[a] += 1
-            cov[b] += 1
-            sol.append(d)
-            backtrack(i + 1, cov)
-            sol.pop()
-            cov[a] -= 1
-            cov[b] -= 1
-
-    sol: list[int] = []
-    backtrack(0, covered)
+        diagonal_vertices(patch.cells[ci], d)  # raises on an index out of range
+    completions = _exact_cover(patch, partial)
     if not completions:
         return None
     if len(completions) > 1:

@@ -282,7 +282,8 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Strictly parse a version 2 certificate, or a version 1 one
         whose relator moves are converted to windows (m <= V1_MAX_M).
-        Start and end words have at most MAX_CERT_LETTERS letters."""
+        Start and end words have at most MAX_CERT_LETTERS letters, all
+        on the presentation's generators."""
         try:
             data = json.loads(text)
             version, moves = data["version"], data["moves"]
@@ -300,6 +301,8 @@ class Certificate:
                 word.letter_length() <= MAX_CERT_LETTERS,
                 f"{key} word has more than {MAX_CERT_LETTERS} letters",
             )
+            foreign = sorted(set(word.generators_used()) - set(pres.generators))
+            _strict(not foreign, f"{key} word uses generators {foreign} outside the presentation")
         v1 = pres if version == 1 else None
         return cls(pres, start, end, tuple(Move.from_dict(m, v1) for m in moves))
 

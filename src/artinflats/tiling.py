@@ -1,17 +1,21 @@
 """Periodic Euclidean tilings from triangle reflection groups.
 
-Each tiling type is generated by the three reflections in the sides of
-an integer-scaled triangle, acting on Z^2 by exact affine maps (for the
-hexagonal and 4.6.12 tilings the coordinates live in an oblique basis
-with a 60-degree angle; nothing here ever needs the metric).  The dual
-chamber graph is the 1-skeleton we work with:
+Each tiling type is generated by a group acting on Z^2 by exact affine
+maps, given as (generator, map) pairs.  For the three triangle types the
+maps are the reflections in the sides of an integer-scaled triangle (for
+the hexagonal and 4.6.12 tilings the coordinates live in an oblique
+basis with a 60-degree angle; nothing here ever needs the metric).  For
+the square grid they are the four unit translations, s by (+-1, 0) and
+t by (0, +-1), so a generator may label several maps.  One orbit builder
+makes every type's 1-skeleton, the dual chamber graph:
 
   * vertices  = group elements modulo a sublattice of translations,
                 realised as the orbit of a generic base point,
-  * edges     = right multiplication by a generating reflection; the
-                edge {w, ws} carries type s,
+  * edges     = right multiplication by a generating map; the edge
+                {w, wg} carries the generator labelling g,
   * 2m-cells  = cosets of the dihedral subgroup generated by a pair of
-                reflections, traversed as alternating cycles.
+                reflections, traversed as alternating cycles (on the
+                square grid, the unit squares).
 
 Because the group acts on the left and types come from right
 multiplication, a translation preserves all edge types exactly when it
@@ -29,7 +33,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from artinflats.presentation import ArtinPresentation, Word
@@ -68,8 +71,10 @@ class TriangleType(Enum):
     E236 = "E236"
 
 
-# Reflections in the three triangle sides, integer-scaled so that every
-# map is integral.  Generator names follow the pair exponents:
+# Each type's group is generated by `maps`, (generator, affine map)
+# pairs; a generator may label several maps.  For the triangle types they
+# are the reflections in the three triangle sides, integer-scaled so that
+# every map is integral.  Generator names follow the pair exponents:
 #   E333: all pairs 3;  E244: m(s,t) = m(t,r) = 4, m(s,r) = 2;
 #   E236: m(s,t) = 6, m(t,r) = 3, m(s,r) = 2.
 _TYPE_DATA = {
@@ -77,11 +82,11 @@ _TYPE_DATA = {
         "generators": ("s", "t", "r"),
         "exponents": {("s", "t"): 3, ("t", "r"): 3, ("s", "r"): 3},
         # s: y = 0, t: x = 0, r: x + y = 3
-        "maps": {
-            "s": (1, 1, 0, -1, 0, 0),
-            "t": (-1, 0, 1, 1, 0, 0),
-            "r": (0, -1, -1, 0, 3, 3),
-        },
+        "maps": (
+            ("s", (1, 1, 0, -1, 0, 0)),
+            ("t", (-1, 0, 1, 1, 0, 0)),
+            ("r", (0, -1, -1, 0, 3, 3)),
+        ),
         "base_point": (1, 1),
         "point_group_order": 6,
         "translation_det": 27,
@@ -90,11 +95,11 @@ _TYPE_DATA = {
         "generators": ("s", "t", "r"),
         "exponents": {("s", "t"): 4, ("t", "r"): 4, ("s", "r"): 2},
         # t: y = 0, s: x = y, r: x + y = 4  (orthogonal coordinates)
-        "maps": {
-            "s": (0, 1, 1, 0, 0, 0),
-            "t": (1, 0, 0, -1, 0, 0),
-            "r": (0, -1, -1, 0, 4, 4),
-        },
+        "maps": (
+            ("s", (0, 1, 1, 0, 0, 0)),
+            ("t", (1, 0, 0, -1, 0, 0)),
+            ("r", (0, -1, -1, 0, 4, 4)),
+        ),
         "base_point": (2, 1),
         "point_group_order": 8,
         "translation_det": 32,
@@ -103,11 +108,11 @@ _TYPE_DATA = {
         "generators": ("s", "t", "r"),
         "exponents": {("s", "t"): 6, ("t", "r"): 3, ("s", "r"): 2},
         # t: y = 0, s: x = y, r: x + y = 6  (oblique 60-degree basis)
-        "maps": {
-            "s": (0, 1, 1, 0, 0, 0),
-            "t": (1, 1, 0, -1, 0, 0),
-            "r": (0, -1, -1, 0, 6, 6),
-        },
+        "maps": (
+            ("s", (0, 1, 1, 0, 0, 0)),
+            ("t", (1, 1, 0, -1, 0, 0)),
+            ("r", (0, -1, -1, 0, 6, 6)),
+        ),
         "base_point": (3, 1),
         "point_group_order": 12,
         "translation_det": 108,
@@ -115,7 +120,13 @@ _TYPE_DATA = {
     TriangleType.SQUARE: {
         "generators": ("s", "t"),
         "exponents": {("s", "t"): 2},
-        "maps": None,  # built directly on Z^2
+        # unit translations: s by (+-1, 0), t by (0, +-1)
+        "maps": (
+            ("s", (1, 0, 0, 1, 1, 0)),
+            ("s", (1, 0, 0, 1, -1, 0)),
+            ("t", (1, 0, 0, 1, 0, 1)),
+            ("t", (1, 0, 0, 1, 0, -1)),
+        ),
         "base_point": (0, 0),
         "point_group_order": 1,
         "translation_det": 1,
@@ -172,16 +183,6 @@ def _lattice_basis(vectors: list[Vec]) -> tuple[Vec, Vec]:
     return (a, b % c), (0, c)
 
 
-def _solve_in_lattice(basis: tuple[Vec, Vec], v: Vec) -> tuple[Fraction, Fraction]:
-    (a1, b1), (a2, b2) = basis
-    det = a1 * b2 - b1 * a2
-    if det == 0:
-        raise ValueError("degenerate lattice")
-    alpha = Fraction(v[0] * b2 - v[1] * a2, det)
-    beta = Fraction(a1 * v[1] - b1 * v[0], det)
-    return alpha, beta
-
-
 def _reduce_mod(basis: tuple[Vec, Vec], v: Vec) -> Vec:
     """v minus the lattice point whose fundamental parallelogram holds
     it: the floors of v's coordinates in `basis`, by integer floor
@@ -200,14 +201,12 @@ _translation_cache: dict[TriangleType, tuple[Vec, Vec]] = {}
 
 def translation_lattice(tt: TriangleType) -> tuple[Vec, Vec]:
     """Canonical basis of the type-preserving translation lattice (the
-    translation subgroup of the reflection group), found by a group
-    ball search and certified by the exact index/determinant check."""
-    if tt == TriangleType.SQUARE:
-        return ((1, 0), (0, 1))
+    translation subgroup of the type's group), found by a group ball
+    search and certified by the exact index/determinant check."""
     if tt in _translation_cache:
         return _translation_cache[tt]
     data = _TYPE_DATA[tt]
-    gens = [data["maps"][g] for g in data["generators"]]
+    gens = [g for _, g in data["maps"]]
     seen = {AFFINE_ID}
     frontier = [AFFINE_ID]
     translations: list[Vec] = []
@@ -282,8 +281,7 @@ class Patch:
             raise IncompatibleLatticeError("lattice is degenerate")
         tbasis = translation_lattice(triangle_type)
         for vec in self.lattice:
-            alpha, beta = _solve_in_lattice(tbasis, vec)
-            if alpha.denominator != 1 or beta.denominator != 1:
+            if _reduce_mod(tbasis, vec) != (0, 0):
                 raise IncompatibleLatticeError(
                     f"incompatible lattice: {vec} is not a type-preserving translation"
                 )
@@ -294,11 +292,10 @@ class Patch:
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
         self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
+        self._build_orbit()
         if triangle_type == TriangleType.SQUARE:
-            self._build_square()
             self._build_square_cells()
         else:
-            self._build_coxeter()
             self._build_cells()
         for ei, cells in enumerate(self.edge_cells):
             if len(cells) != 2:
@@ -323,9 +320,8 @@ class Patch:
         self.edge_cells.append([])
         return idx
 
-    def _build_coxeter(self) -> None:
+    def _build_orbit(self) -> None:
         data = _TYPE_DATA[self.triangle_type]
-        maps = data["maps"]
         p0 = data["base_point"]
         reduce_t = lambda vec: _reduce_mod(self.lattice, vec)
 
@@ -341,8 +337,8 @@ class Patch:
         while queue:
             i = queue.popleft()
             w = reps[i]
-            for gname in self.generators:
-                wg = affine_compose(w, maps[gname])
+            for gname, g in data["maps"]:
+                wg = affine_compose(w, g)
                 k = key(wg)
                 if k in states:
                     j = states[k]
@@ -351,7 +347,7 @@ class Patch:
                     states[k] = j
                     reps.append(wg)
                     queue.append(j)
-                gp0 = affine_apply(maps[gname], p0)
+                gp0 = affine_apply(g, p0)
                 delta = (
                     w[0] * (gp0[0] - p0[0]) + w[1] * (gp0[1] - p0[1]),
                     w[2] * (gp0[0] - p0[0]) + w[3] * (gp0[1] - p0[1]),
@@ -368,32 +364,6 @@ class Patch:
                 f"built {len(self.positions)} vertices, expected {expected}"
             )
 
-    def _build_square(self) -> None:
-        reduce_t = lambda vec: _reduce_mod(self.lattice, vec)
-        start = reduce_t((0, 0))
-        queue = deque([self._add_vertex(start)])
-        steps = {"s": (1, 0), "t": (0, 1)}
-        edge_seen: set[tuple[int, int, str]] = set()
-        while queue:
-            i = queue.popleft()
-            p = self.positions[i]
-            for gname, dvec in steps.items():
-                for sign in (1, -1):
-                    q = reduce_t((p[0] + sign * dvec[0], p[1] + sign * dvec[1]))
-                    if q in self.vertex_at:
-                        j = self.vertex_at[q]
-                    else:
-                        j = self._add_vertex(q)
-                        queue.append(j)
-                    if i == j:
-                        raise AssertionError("self-loop edge; lattice too small")
-                    delta = (sign * dvec[0], sign * dvec[1])
-                    dmin = delta if i < j else (-delta[0], -delta[1])
-                    ekey = (min(i, j), max(i, j), gname, dmin)
-                    if ekey not in edge_seen:
-                        edge_seen.add(ekey)
-                        self._add_edge(i, j, gname, delta)
-
     def _covering_index(self) -> int:
         tb = translation_lattice(self.triangle_type)
         det_t = tb[0][0] * tb[1][1] - tb[0][1] * tb[1][0]
@@ -401,10 +371,10 @@ class Patch:
             self.lattice[0][0] * self.lattice[1][1]
             - self.lattice[0][1] * self.lattice[1][0]
         )
-        index = Fraction(abs(det_l), abs(det_t))
-        if index.denominator != 1:
+        index, rest = divmod(abs(det_l), abs(det_t))
+        if rest:
             raise IncompatibleLatticeError("lattice index is not integral")
-        return int(index)
+        return index
 
     def _edge_at(self, vertex: int, gen: str, delta: Vec | None = None) -> Edge:
         hits = []
@@ -439,7 +409,7 @@ class Patch:
                 cur, nxt_gen = e.v, (pair[0] if e.gen == pair[1] else pair[1])
                 guard = 0
                 while cur != e.u:
-                    step = self._walk_cell_step(cur, nxt_gen, cycle_edges[-1])
+                    step = self._edge_at(cur, nxt_gen)
                     cycle_vertices.append(cur)
                     cycle_edges.append(step.index)
                     cur = step.other(cur)
@@ -475,18 +445,6 @@ class Patch:
             self.cells.append(Cell(cell_index, ("s", "t"), 2, vs, es))
             for ei in es:
                 self.edge_cells[ei].append(cell_index)
-
-    def _walk_cell_step(self, vertex: int, gen: str, prev_edge: int) -> Edge:
-        hits = [
-            self.edges[ei]
-            for ei in self.vertex_edges[vertex]
-            if self.edges[ei].gen == gen and ei != prev_edge
-        ]
-        if len(hits) != 1:
-            # doubled edge between the same endpoints is fine as long as
-            # the generator is unambiguous at this vertex
-            raise AssertionError(f"ambiguous {gen}-step at vertex {vertex}")
-        return hits[0]
 
     def _canonical_cycle(
         self, verts: list[int], edges: list[int], pair: tuple[str, str]
@@ -729,13 +687,9 @@ def _cell_signature(patch: Patch, cell: Cell, d: DirectionAssignment) -> tuple[i
 
 
 def _cell_consistent(patch: Patch, cell: Cell, d: DirectionAssignment) -> bool:
-    """Whether the cell passes the long-pairing and cell-word checks."""
-    edges = cell.edges
-    n = len(edges)
-    for k in range(n):
-        ke = d[edges[k]].label
-        if ke >= 2 and d[edges[(k + cell.m) % n]].label != ke:
-            return False
+    """Whether the cell passes the long-pairing and cell-word checks.
+    The word check alone decides: by the girth lemma a trivial cell word
+    has its long labels on opposite edges."""
     return _signed_boundary_trivial(cell.m, _cell_signature(patch, cell, d))
 
 
@@ -859,8 +813,7 @@ def lift_directions(
     if fine.triangle_type != coarse.triangle_type:
         raise ValueError("patches have different tiling types")
     for vec in fine.lattice:
-        alpha, beta = _solve_in_lattice(coarse.lattice, vec)
-        if alpha.denominator != 1 or beta.denominator != 1:
+        if _reduce_mod(coarse.lattice, vec) != (0, 0):
             raise ValueError("fine lattice is not a sublattice of the coarse one")
 
     def vmap(i: int) -> int:

@@ -208,6 +208,18 @@ def test_replay_of_a_huge_start_word_fails_fast(run_cli, pres_files, tmp_path):
     assert f"more than {MAX_CERT_LETTERS} letters" in err
 
 
+def test_replay_rejects_generators_outside_the_presentation(run_cli, pres_files, tmp_path):
+    pres = json.loads(Path(pres_files["m3"]).read_text())
+    bad = tmp_path / "bad.json"
+    for start, end in (("x1 s1", "x1 s1"), ("s1", "s1 x2")):
+        data = {"version": 2, "presentation": pres, "start": start, "end": end, "moves": []}
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ReplayError, match="outside the presentation"):
+            Certificate.from_json(bad.read_text())
+        code, out, err = run_cli("replay", str(bad))
+        assert code == 2 and "valid" not in out and "Traceback" not in err
+
+
 def test_prove_budget_exit(run_cli, pres_files):
     code, _, err = run_cli(
         "prove", "--presentation", pres_files["m3"],

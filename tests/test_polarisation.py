@@ -213,14 +213,25 @@ def test_check_rigidity_requires_admissible(patch333):
         check_rigidity(patch333, broken)
 
 
+def _agreeing(admissible, partial):
+    """Reference completion: the admissible polarisations that agree
+    with `partial` on its cells."""
+    return [l for l in admissible if all(l[ci] == d for ci, d in partial.items())]
+
+
+DETERMINED_CASES = [("E244", 1), ("E236", 1), ("E244", 2), ("E236", 2)]
+
+
 def test_determined_values_unique_completion():
     # the maximal cells' diagonals force everything else
-    for name in ("E244", "E236"):
-        patch = minimal_patch(TriangleType[name])
+    for name, scale in DETERMINED_CASES:
+        patch = scaled_patch(TriangleType[name], scale)
         maximal = {c.index for c in patch.maximal_cells()}
         assert maximal != {c.index for c in patch.cells}
-        for l in enumerate_admissible(patch):
+        admissible = enumerate_admissible(patch)
+        for l in admissible:
             partial = {ci: d for ci, d in l.items() if ci in maximal}
+            assert _agreeing(admissible, partial) == [l]
             assert determined_values(patch, partial) == l
 
 
@@ -232,26 +243,30 @@ def test_determined_values_rejects_wrong_domain(patch244):
 
 def test_determined_values_contradiction_is_none():
     # perturbing one maximal choice never sneaks back to the original;
-    # on E244 (two interacting octagons) some perturbations have no
-    # completion at all.  The lone 12-gon of the smallest E236 patch
-    # completes for every choice by rotational symmetry, so no
+    # on E244 (interacting octagons) and on E236 x2 some perturbations
+    # have no completion at all.  The lone 12-gon of the smallest E236
+    # patch completes for every choice by rotational symmetry, so no
     # contradiction can be forced there.
-    for name, expect_none in (("E244", True), ("E236", False)):
-        patch = minimal_patch(TriangleType[name])
+    for name, scale in DETERMINED_CASES:
+        patch = scaled_patch(TriangleType[name], scale)
         maximal = {c.index for c in patch.maximal_cells()}
+        admissible = enumerate_admissible(patch)
         hits = 0
-        for l in enumerate_admissible(patch):
+        for l in admissible:
             partial = {ci: d for ci, d in l.items() if ci in maximal}
             for ci in sorted(partial):
                 for shift in range(1, patch.cells[ci].m):
                     tweaked = dict(partial)
                     tweaked[ci] = (partial[ci] + shift) % patch.cells[ci].m
+                    expected = _agreeing(admissible, tweaked)
+                    assert len(expected) <= 1
                     out = determined_values(patch, tweaked)
                     if out is None:
                         hits += 1
+                        assert expected == []
                     else:
-                        assert out != l
-        assert (hits > 0) == expect_none, name
+                        assert [out] == expected and out != l
+        assert (hits > 0) == ((name, scale) != ("E236", 1)), (name, scale)
 
 
 def test_case0_configuration_absent_from_admissible():

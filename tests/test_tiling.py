@@ -10,16 +10,19 @@ boundary spells a relator.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from artinflats.dihedral import is_trivial, subpresentation
+from artinflats.presentation import ArtinPresentation, Word
 from artinflats.polarisation import enumerate_admissible, rigidity_witnesses
 from artinflats.tiling import (
     _cell_checks,
     _cell_consistent,
     _reduce_mod,
     DirectedEdge,
+    Edge,
     IncompatibleLatticeError,
     Patch,
     TriangleType,
@@ -78,6 +81,43 @@ def test_square_unit_lattice_refused():
         minimal_patch(TriangleType.SQUARE)
     patch = scaled_patch(TriangleType.SQUARE, 2)
     assert (len(patch.positions), len(patch.edges), len(patch.cells)) == (4, 8, 4)
+
+
+def _reference_square_grid(lattice):
+    """Z^2 walked breadth first from the origin, modulo `lattice`: from
+    each vertex the steps s by (+-1, 0), then t by (0, +-1), each edge
+    kept once per endpoint pair, generator and direction."""
+    positions = [_reduce_mod(lattice, (0, 0))]
+    index = {positions[0]: 0}
+    edges, vertex_edges, seen = [], [[]], set()
+    i = 0
+    while i < len(positions):
+        x, y = positions[i]
+        for gen, step in (("s", (1, 0)), ("s", (-1, 0)), ("t", (0, 1)), ("t", (0, -1))):
+            q = _reduce_mod(lattice, (x + step[0], y + step[1]))
+            if q not in index:
+                index[q] = len(positions)
+                positions.append(q)
+                vertex_edges.append([])
+            j = index[q]
+            key = (min(i, j), max(i, j), gen, step if i < j else (-step[0], -step[1]))
+            if key not in seen:
+                seen.add(key)
+                vertex_edges[i].append(len(edges))
+                vertex_edges[j].append(len(edges))
+                edges.append(Edge(len(edges), i, j, gen, step))
+        i += 1
+    return positions, edges, vertex_edges
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [((2, 0), (0, 2)), ((3, 0), (0, 3)), ((4, 0), (0, 4)),
+     ((2, 0), (0, 3)), ((1, 1), (0, 2)), ((3, 1), (0, 2)), ((2, 1), (1, 3))],
+)
+def test_square_grid_numbering_matches_a_direct_walk(lattice):
+    patch = Patch(TriangleType.SQUARE, lattice)
+    assert (patch.positions, patch.edges, patch.vertex_edges) == _reference_square_grid(lattice)
 
 
 def test_scaled_patch_grows_quadratically():
@@ -240,6 +280,24 @@ def test_cell_consistent_matches_cell_checks(name):
             assert {v.check for v in checks} == _reference_cell_checks(patch, cell, d)
             verdicts[ok] += 1
     assert min(verdicts.values()) > 500, verdicts
+
+
+def test_trivial_cell_words_pair_their_long_labels():
+    # girth lemma: a trivial 2m-syllable cell word has its long labels on
+    # opposite edges, so the cell-word check alone decides a cell
+    for m, top in ((2, 4), (3, 3), (4, 2)):
+        pres = ArtinPresentation(("a", "b"), {("a", "b"): m})
+        labels = [sign * k for k in range(1, top + 1) for sign in (1, -1)]
+        trivial = 0
+        for exps in product(labels, repeat=2 * m):
+            letters = []
+            for k, e in enumerate(exps):
+                letters.extend([("ab"[k % 2], 1 if e > 0 else -1)] * abs(e))
+            if is_trivial(pres, Word.from_letters(letters)):
+                trivial += 1
+                for k in range(2 * m):
+                    assert abs(exps[k]) < 2 or abs(exps[(k + m) % (2 * m)]) == abs(exps[k])
+        assert trivial > 0
 
 
 def _reference_reduce_mod(basis, v):
