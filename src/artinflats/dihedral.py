@@ -25,8 +25,14 @@ m - 1 with L c = Delta.
 The second route is a breadth-first closure over raw letter strings
 under free cancellation, free insertion, and balanced relator rewrites
 (u -> v with |u| = |v| = m, one rule for every rotation of the defining
-relator and of its inverse).  The two implementations share no code and
-are played against each other in the tests.
+relator and of its inverse).  The moves commute with eight string
+symmetries (swap a and b, invert every letter, reverse the string, and
+their products), so the closure works on orbits: it stores and expands
+only each orbit's canonical representative, the least of its eight
+images, and its `visited_count` counts representatives.  An
+`IdentityBall` keeps the representatives and answers `in` by
+canonicalising.  The two implementations share no code and are played
+against each other in the tests.
 """
 
 from __future__ import annotations
@@ -232,8 +238,13 @@ def balanced_rules(m: int) -> dict[str, tuple[str, ...]]:
 def word_to_string(pres: ArtinPresentation, word: Word) -> str:
     a, b, _ = _require_dihedral(pres)
     lower = {a: "a", b: "b"}
-    upper = {a: "A", b: "B"}
-    return "".join((lower if sign > 0 else upper)[g] for g, sign in word.letters())
+    chars = []
+    for syl in word.syllables:
+        if syl.generator not in lower:
+            raise ValueError(f"letter {syl.generator!r} is not a generator")
+        c = lower[syl.generator]
+        chars.append(c * syl.exponent if syl.exponent > 0 else c.upper() * -syl.exponent)
+    return "".join(chars)
 
 
 def _neighbours(state: str, rules: dict[str, tuple[str, ...]], max_len: int) -> list[str]:
@@ -256,12 +267,54 @@ def _neighbours(state: str, rules: dict[str, tuple[str, ...]], max_len: int) -> 
     return out
 
 
+# The eight string symmetries: a letter permutation that swaps a with b,
+# or every letter with its inverse, or both, or neither (the Klein group
+# below), optionally followed by reversing the string.
+_KLEIN = ("abAB", "baBA", "ABab", "BAba")
+# _TO_A[c] is the letter permutation sending c to "A".  It is unique: the
+# Klein group acts simply transitively on the four letters.  perm[2] is
+# the image of "A", and every perm is an involution, so it sends perm[2]
+# back to "A".
+_TO_A = {perm[2]: str.maketrans("abAB", perm) for perm in _KLEIN}
+
+
+def _reflected(s: str) -> str:
+    """The reversed image of a non-empty s whose first letter is "A"."""
+    return s[::-1].translate(_TO_A[s[-1]])
+
+
+def _canonical(s: str) -> str:
+    """The least of the eight images of s.
+
+    The least image of a non-empty string starts with "A", since "A" is
+    the least letter, so it is either the forward image sending s[0] to
+    "A" or the reversed image sending s[-1] to "A".
+    """
+    if not s:
+        return s
+    forward = s.translate(_TO_A[s[0]])
+    backward = _reflected(s)
+    return forward if forward <= backward else backward
+
+
+def _orbit_size(rep: str) -> int:
+    """The number of strings in the orbit of a canonical representative.
+
+    No letter permutation but the identity fixes a non-empty string, and
+    only the reversed image with rep[-1] sent to rep[0] = "A" can, so the
+    stabiliser has one or two elements.
+    """
+    if not rep:
+        return 1
+    return 4 if _reflected(rep) == rep else 8
+
+
 @dataclass
 class ClosureResult:
     reached_target: bool
     complete: bool
     visited_count: int
-    states: frozenset[str] | None = None
+    states: frozenset[str] = frozenset()
 
 
 def closure(
@@ -273,18 +326,32 @@ def closure(
     keep_states: bool = False,
 ) -> ClosureResult:
     """Breadth-first closure of the move system from `start`, keeping
-    every intermediate string at length <= max_len."""
+    every intermediate string at length <= max_len.
+
+    The closure runs over symmetry orbits: it stores, dedupes and expands
+    only canonical representatives, so `visited_count`, `max_states` and
+    `states` (with keep_states) all count or hold representatives.  The
+    empty string is the only string that every symmetry fixes, so it is
+    the only target a representative can be matched against: target must
+    be None or "".
+    """
+    if target not in (None, ""):
+        raise ValueError(f"closure target must be None or '', not {target!r}")
     rules = balanced_rules(m)
+    start = _canonical(start)
     seen = {start}
     queue = deque([start])
     complete = True
-    found = target is not None and start == target
+    found = start == target
     while queue and not found:
         state = queue.popleft()
         for nxt in _neighbours(state, rules, max_len):
-            if len(nxt) > max_len or nxt in seen:
+            if len(nxt) > max_len:
                 continue
-            if target is not None and nxt == target:
+            nxt = _canonical(nxt)
+            if nxt in seen:
+                continue
+            if nxt == target:
                 found = True
                 break
             if len(seen) >= max_states:
@@ -296,7 +363,7 @@ def closure(
         reached_target=found,
         complete=complete,
         visited_count=len(seen),
-        states=frozenset(seen) if keep_states else None,
+        states=frozenset(seen) if keep_states else frozenset(),
     )
 
 
@@ -311,8 +378,8 @@ def bfs_oracle_is_trivial(
     True means the empty string was reached (always sound).  False is
     only returned when the whole closure within max_len was exhausted,
     so it is a genuine certificate of nontriviality at that length
-    bound.  If the state budget runs out first, OracleBudgetError is
-    raised rather than guessing.
+    bound.  If the state budget (orbit representatives, see `closure`)
+    runs out first, OracleBudgetError is raised rather than guessing.
     """
     _, _, m = _require_dihedral(pres)
     s = word_to_string(pres, word)
@@ -331,16 +398,40 @@ def bfs_oracle_is_trivial(
     )
 
 
-def identity_ball(m: int, max_len: int, max_states: int = 4_000_000) -> frozenset[str]:
+class IdentityBall:
+    """The strings of an identity ball, held as one canonical
+    representative per symmetry orbit.
+
+    `s in ball` canonicalises s and looks it up; `len(ball)` is the
+    number of strings, the sum of the orbit sizes.
+    """
+
+    __slots__ = ("reps", "_size")
+
+    def __init__(self, reps: frozenset[str]):
+        self.reps = reps
+        self._size = sum(map(_orbit_size, reps))
+
+    def __contains__(self, s: str) -> bool:
+        try:
+            return _canonical(s) in self.reps
+        except KeyError:  # s starts or ends with a letter outside "abAB"
+            return False
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def identity_ball(m: int, max_len: int, max_states: int = 4_000_000) -> IdentityBall:
     """All strings spelling the identity reachable from the empty word
     with intermediates of length <= max_len.  Because the move system
     is symmetric, membership is equivalent to the oracle reaching the
-    empty string from the member."""
+    empty string from the member.  The ball supports `in` and `len`;
+    max_states bounds the orbit representatives, not the strings."""
     result = closure(m, "", max_len=max_len, max_states=max_states, keep_states=True)
     if not result.complete:
         raise OracleBudgetError(
             f"identity ball at length {max_len} exceeded {max_states} states",
             result.visited_count,
         )
-    assert result.states is not None
-    return result.states
+    return IdentityBall(result.states)

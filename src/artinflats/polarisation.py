@@ -305,7 +305,21 @@ def _centers_difference(
 
 def e_translation(patch: Patch, e_class: Vec) -> Vec:
     """The translation mapping a maximal cell containing an e-edge to
-    its partner in the type's defining configuration."""
+    its partner in the type's defining configuration.  Computed once per
+    class and kept on the patch, a RigidityError included."""
+    cache = patch.e_translations
+    if e_class not in cache:
+        try:
+            cache[e_class] = _e_translation(patch, e_class)
+        except RigidityError as exc:
+            cache[e_class] = exc
+    result = cache[e_class]
+    if isinstance(result, RigidityError):
+        raise result.with_traceback(None)
+    return result
+
+
+def _e_translation(patch: Patch, e_class: Vec) -> Vec:
     tt = patch.triangle_type
     edge = next(e for e in patch.edges if e.direction_class == e_class)
     cells = [patch.cells[ci] for ci in patch.edge_cells[edge.index]]

@@ -292,6 +292,9 @@ class Patch:
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
         self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
+        # polarisation.e_translation's result (a Vec or the RigidityError
+        # it raised) per edge class; it depends only on the patch
+        self.e_translations: dict[Vec, Vec | Exception] = {}
         self._build_orbit()
         if triangle_type == TriangleType.SQUARE:
             self._build_square_cells()

@@ -6,15 +6,20 @@ full cross-validation sweep lives in test_acceptance; here we pin the
 algebra and a sampled agreement check.
 """
 
+import itertools
 import random
+from collections import deque
 
 import pytest
 
 from artinflats import dihedral
 from artinflats.dihedral import (
     OracleBudgetError,
+    _canonical,
+    _neighbours,
     balanced_rules,
     bfs_oracle_is_trivial,
+    closure,
     delta_word,
     identity_ball,
     invert,
@@ -103,6 +108,13 @@ def test_word_to_string(m3):
     assert word_to_string(m3, Word.parse("")) == ""
 
 
+def test_oracle_rejects_letters_outside_the_presentation(m3):
+    w = Word.parse("s1 x1 t-1")
+    for route in (normal_form, word_to_string, bfs_oracle_is_trivial):
+        with pytest.raises(ValueError, match="letter 'x' is not a generator"):
+            route(m3, w)
+
+
 def test_bfs_oracle_agrees_with_normal_form_sampled(m3):
     # direct closure per word; exhausting a nontrivial word's component
     # needs a tight length cap to stay cheap
@@ -139,3 +151,69 @@ def test_subpresentation(e333):
     sub = dihedral.subpresentation(e333, "t", "r")
     assert sub.generators == ("t", "r")
     assert sub.m("t", "r") == 3
+
+
+# The eight string symmetries, written out independently of the module:
+# a letter permutation (swap a/b, invert, both, or neither), then
+# optionally reverse.
+def _symmetries():
+    out = []
+    for perm in ("abAB", "baBA", "ABab", "BAba"):
+        table = str.maketrans("abAB", perm)
+        out.append(lambda s, t=table: s.translate(t))
+        out.append(lambda s, t=table: s[::-1].translate(t))
+    return out
+
+
+SYMMETRIES = _symmetries()
+
+
+def _random_strings(rng, count, max_len):
+    return ["".join(rng.choice("abAB") for _ in range(rng.randint(0, max_len))) for _ in range(count)]
+
+
+def test_moves_commute_with_the_eight_symmetries():
+    rng = random.Random(41)
+    for m in range(2, 7):
+        rules = balanced_rules(m)
+        for s in _random_strings(rng, 150, 10):
+            for sigma in SYMMETRIES:
+                image = {sigma(x) for x in _neighbours(s, rules, 12)}
+                assert image == set(_neighbours(sigma(s), rules, 12)), (m, s)
+
+
+def test_canonical_is_the_least_image():
+    rng = random.Random(43)
+    strings = _random_strings(rng, 3000, 12) + ["", "a", "B", "aA", "abBA", "abab"]
+    for s in strings:
+        assert _canonical(s) == min(sigma(s) for sigma in SYMMETRIES), s
+
+
+def _plain_ball(m, cap):
+    rules = balanced_rules(m)
+    seen = {""}
+    queue = deque([""])
+    while queue:
+        for nxt in _neighbours(queue.popleft(), rules, cap):
+            if len(nxt) <= cap and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_identity_ball_equals_a_plain_closure(m):
+    cap = 8
+    ball = identity_ball(m, cap)
+    plain = _plain_ball(m, cap)
+    assert len(ball) == len(plain)
+    for n in range(cap + 1):
+        for letters in itertools.product("abAB", repeat=n):
+            s = "".join(letters)
+            assert (s in ball) == (s in plain), s
+    assert "x" not in ball and "axA" not in ball
+
+
+def test_closure_refuses_a_nonempty_target():
+    with pytest.raises(ValueError):
+        closure(3, "ab", 6, 100, target="ba")
