@@ -4,8 +4,9 @@ enumeration, proof search and replay, and SVG rendering of patches.
 Exit codes follow a fixed contract so sweeps can run under CI:
 
     0   success
-    1   usage error (bad arguments, unparsable words, bad input files,
-        output that cannot be written, stdout closed by its reader)
+    1   usage error (bad arguments, unparsable words, words too long to
+        search, bad input files, output that cannot be written, stdout
+        closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted
 
@@ -31,7 +32,7 @@ from artinflats.polarisation import (
     polarisation_to_json,
 )
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import Budget, Certificate, SearchBudgetError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.prover import Budget, Certificate, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
 from artinflats.subgroups import family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
     DirectionAssignment,
@@ -599,7 +600,7 @@ def main(argv=None) -> int:
         # so that the flush at interpreter shutdown cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except UsageError as exc:
+    except (UsageError, WordTooLongError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SearchBudgetError, OracleBudgetError) as exc:

@@ -21,8 +21,10 @@ rule application or a whole-relator insertion followed by free
 reduction; each transition expands deterministically into elementary
 moves.  Equality searches run bidirectionally and meet in the middle.
 Long conjugated words are handled by peeling the conjugator one letter
-at a time and shortening the core with small searches, which keeps the
-intermediate words short enough for the meet-in-the-middle step.
+at a time.  Each layer is shortened by a small search that stops at the
+first word it generates that is no longer than the core, which keeps
+the intermediate words short enough for the meet-in-the-middle step.
+A word given to a search has at most MAX_CERT_LETTERS letters.
 
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
@@ -47,6 +49,10 @@ CERTIFICATE_VERSION = 2
 
 class ReplayError(ValueError):
     """A certificate move failed validation."""
+
+
+class WordTooLongError(ValueError):
+    """A word given to a search has more than MAX_CERT_LETTERS letters."""
 
 
 class SearchBudgetError(RuntimeError):
@@ -379,6 +385,15 @@ class Budget:
     max_len: int = 64
 
 
+def _search_letters(w: Word) -> tuple[Letter, ...]:
+    """The letters of a word given to a search.  A word of more than
+    MAX_CERT_LETTERS letters raises WordTooLongError before it is
+    expanded: replay would refuse its certificate anyway."""
+    if w.letter_length() > MAX_CERT_LETTERS:
+        raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
+    return tuple(w.letters())
+
+
 def _freely_reduce(letters) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for l in letters:
@@ -554,10 +569,18 @@ def _bidirectional_search(
 
 
 def _best_effort_shorten(
-    pres: ArtinPresentation, start: tuple[Letter, ...], budget: Budget
+    pres: ArtinPresentation, start: tuple[Letter, ...], budget: Budget, goal: int
 ) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:
-    """Small single-sided search; returns the (len, word)-smallest state
-    reached and the moves to it.  Falls back to `start` itself."""
+    """Small single-sided search for a word of at most `goal` letters.
+
+    Returns `start` itself when it is that short.  Otherwise it stops at
+    the first successor generated with at most `goal` letters and
+    returns it with the moves to it.  The search holds at most
+    `budget.max_states` states; one that never reaches the goal returns
+    the (len, word)-smallest state it expanded, falling back to `start`.
+    """
+    if len(start) <= goal:
+        return start, ()
     rules = _Rules(pres)
     root = rules.encode(start)
     parents = {root: (None, None)}
@@ -568,9 +591,14 @@ def _best_effort_shorten(
         if (len(state), state) < (len(best), best):
             best = state
         for nxt, op in _transitions(rules, state, budget.max_len):
-            if nxt not in parents:
-                parents[nxt] = (state, op)
-                heapq.heappush(heap, (len(nxt), depth + 1, nxt))
+            if nxt in parents:
+                continue
+            parents[nxt] = (state, op)
+            if len(nxt) <= goal:
+                return rules.decode(nxt), _ops_to_moves(pres, rules, _reconstruct(parents, nxt))
+            heapq.heappush(heap, (len(nxt), depth + 1, nxt))
+            if len(parents) >= budget.max_states:
+                break
     return rules.decode(best), _ops_to_moves(pres, rules, _reconstruct(parents, best))
 
 
@@ -600,18 +628,24 @@ def _conjugation_chain(
         total_moves = list(_shift_moves(tuple(total_moves), 1))
         red, red_moves = reduction_moves(raw)
         total_moves.extend(red_moves)
-        h, short_moves = _best_effort_shorten(pres, red, layer_budget)
+        h, short_moves = _best_effort_shorten(pres, red, layer_budget, len(core))
         total_moves.extend(short_moves)
     return tuple(total_moves), h
 
 
 def _find_commutator_split(letters: tuple[Letter, ...]):
+    """(p, q) with letters = p q p^-1 q^-1 and p, q nonempty, the
+    shortest such p first, or None.  The inverse half starts at n/2,
+    since |p q| = |p^-1 q^-1|, and it spells (q p)^-1: a rotation of
+    the first half, inverted."""
     n = len(letters)
-    for i in range(1, n - 2):
-        for j in range(i + 1, n - 1):
-            p, q, rest = letters[:i], letters[i:j], letters[j:]
-            if rest == _inv_word(p) + _inv_word(q):
-                return p, q
+    half = n // 2
+    if n % 2:
+        return None
+    want = _inv_word(letters[half:])
+    for i in range(1, half):
+        if letters[i:half] + letters[:i] == want:
+            return letters[:i], letters[i:half]
     return None
 
 
@@ -639,7 +673,7 @@ def prove_conjugation(
     Junction cancellations in g x g^-1 are handled by starting the move
     list with inserts that restore the unreduced layout, after which
     the conjugator is peeled letter by letter."""
-    gl, xl = tuple(g.letters()), tuple(x.letters())
+    gl, xl = _search_letters(g), _search_letters(x)
     raw = gl + xl + _inv_word(gl)
     red, red_moves = reduction_moves(raw)
     restore = tuple(invert_move(m) for m in reversed(red_moves))
@@ -731,7 +765,7 @@ def conjugation_product(
 def prove_trivial(pres: ArtinPresentation, w: Word, budget: Budget = DEFAULT_BUDGET) -> Certificate | None:
     """Certificate rewriting w into the empty word, or None (which only
     ever means 'not found within budget', never 'nontrivial')."""
-    letters = tuple(w.letters())
+    letters = _search_letters(w)
     red, red_moves = reduction_moves(letters)
     if not red:
         return Certificate(pres, w, Word(), red_moves)
@@ -763,7 +797,7 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
     Tries a direct meet-in-the-middle search first; if that fails,
     proves u v^-1 trivial and repackages (insert v^-1 v at the end of
     u, erase the u v^-1 prefix, leaving v)."""
-    ul, vl = tuple(u.letters()), tuple(v.letters())
+    ul, vl = _search_letters(u), _search_letters(v)
     ur, u_moves = reduction_moves(ul)
     vr, v_moves = reduction_moves(vl)
     kp = _conjugator_prefix(ur)

@@ -228,6 +228,26 @@ def test_prove_budget_exit(run_cli, pres_files):
     assert code == 3
 
 
+def test_prove_exhausts_the_default_budget_on_a_nontrivial_word(run_cli, pres_files):
+    code, _, err = run_cli("prove", "--presentation", pres_files["m3"], "--trivial", "s1 t1")
+    assert code == 3 and "budget" in err
+
+
+def test_oversized_words_are_usage_errors(run_cli, pres_files):
+    huge = 20_000_000
+    for argv in (
+        ("prove", "--presentation", pres_files["m3"], "--trivial", f"s{huge}"),
+        ("prove", "--presentation", pres_files["m3"], "--commutator", "s1", f"t{huge}"),
+        ("families", "--case", "b", "--exponents", str(huge), "--verify"),
+        ("klein", "--k", str(huge)),
+    ):
+        t0 = time.perf_counter()
+        result = run_cli(*argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        _assert_usage_error(result)
+        assert f"more than {MAX_CERT_LETTERS} letters" in result[2]
+
+
 def test_budget_args_reject_values_below_one(run_cli, pres_files):
     args = ("prove", "--presentation", pres_files["m3"], "--trivial", "s1 t1 s-1 t-1")
     code, _, err = run_cli(*args, "--max-states", "-5")
@@ -243,7 +263,7 @@ def test_families(run_cli):
     data = json.loads(out)
     assert data["w1"] == "s1 t1 r1 s1 t1 r1"
     assert data["w2"] == "t1 s1 t1 r1"
-    assert data["moves"] == 36
+    assert data["moves"] == 28
     assert replay(Certificate.from_json(json.dumps(data["certificate"])))
     # degenerate parameters are a usage error
     assert run_cli("families", "--case", "b", "--exponents", "1;-1")[0] == 1

@@ -10,20 +10,27 @@ hand-picked ones.
 import itertools
 import json
 import random
+import time
 
 import pytest
 
+from artinflats import prover
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats.prover import (
+    MAX_CERT_LETTERS,
     Budget,
     Certificate,
     Move,
     ReplayError,
     SearchBudgetError,
+    WordTooLongError,
     _freely_reduce,
     _inv_word,
     _Rules,
+    _best_effort_shorten,
     _check_window,
+    _conjugation_chain,
+    _find_commutator_split,
     _rules_for,
     _splice,
     _transitions,
@@ -241,6 +248,106 @@ def test_prove_commutator(e333):
     cert = prove_commutator(e333, a, b)
     assert cert is not None and replay(cert)
     assert not cert.end.syllables
+
+
+def test_prove_functions_refuse_oversized_words(m3):
+    huge = Word.parse(f"s{MAX_CERT_LETTERS + 1}")
+    for call in (
+        lambda: prove_trivial(m3, huge),
+        lambda: prove_equal(m3, huge, Word.parse("s1")),
+        lambda: prove_conjugation(m3, Word.parse("t1"), huge),
+        lambda: prove_commutator(m3, huge, Word.parse("t1")),
+    ):
+        with pytest.raises(WordTooLongError, match=f"more than {MAX_CERT_LETTERS} letters"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# layer shortening and the commutator split
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def parent_sizes(monkeypatch):
+    """Sizes of the parent tables that the search hands to `_reconstruct`."""
+    sizes = []
+    reconstruct = prover._reconstruct
+
+    def spy(parents, state):
+        sizes.append(len(parents))
+        return reconstruct(parents, state)
+
+    monkeypatch.setattr(prover, "_reconstruct", spy)
+    return sizes
+
+
+def test_layer_search_holds_at_most_its_budget(m3, e333, parent_sizes):
+    # no word has -1 letters, so the search runs until its budget is
+    # spent, and s t and s t r s are already (len, word)-smallest
+    for pres, text in ((m3, "s1 t1"), (e333, "s1 t1 r1 s1")):
+        start = tuple(Word.parse(text).letters())
+        for max_states in (1, 2, 3, 7, 50, 4000):
+            parent_sizes.clear()
+            word, moves = _best_effort_shorten(pres, start, Budget(max_states=max_states), -1)
+            assert parent_sizes == [max_states]
+            assert word == start and moves == ()
+
+
+def test_layer_search_stops_at_the_goal(e333, parent_sizes):
+    core = tuple(Word.parse("t1 s1 t1 r1").letters())
+    conj = tuple(Word.parse("r-1 t-1 s-1 r-1 t-1 s-1").letters())
+    moves, h = _conjugation_chain(e333, conj, core, Budget(max_states=4000))
+    assert len(h) <= len(core)
+    assert parent_sizes and max(parent_sizes) < 400
+    # the goal-length word is the first one generated: a layer that
+    # reaches the goal pushes no state after it
+    parent_sizes.clear()
+    start = tuple(Word.parse("s1 t1 s1 t-1 s-1 t-1").letters())
+    word, moves = _best_effort_shorten(e333, start, Budget(max_states=4000), goal=0)
+    assert word == ()
+    assert parent_sizes and parent_sizes[0] < 100
+    cert = Certificate(e333, Word.from_letters(start), Word(), moves)
+    assert replay(cert)
+    # a start that already meets the goal is returned as it is
+    assert _best_effort_shorten(e333, start, Budget(max_states=4000), goal=6) == (start, ())
+
+
+def reference_commutator_split(letters):
+    """Every split point (i, j) in turn: the reference for
+    `_find_commutator_split`."""
+    n = len(letters)
+    for i in range(1, n - 2):
+        for j in range(i + 1, n - 1):
+            p, q, rest = letters[:i], letters[i:j], letters[j:]
+            if rest == _inv_word(p) + _inv_word(q):
+                return p, q
+    return None
+
+
+def test_commutator_split_matches_the_double_loop(e333):
+    rng = random.Random(23)
+    found = 0
+    for _ in range(3000):
+        p, q = (random_reduced(e333, rng, rng.randint(0, 5)) for _ in range(2))
+        if rng.random() < 0.5:
+            w = p + q + _inv_word(p) + _inv_word(q)
+        else:
+            w = p + q + random_reduced(e333, rng, rng.randint(0, 8))
+        if rng.random() < 0.5:
+            w = _freely_reduce(w)
+        expect = reference_commutator_split(w)
+        assert _find_commutator_split(w) == expect, w
+        found += expect is not None
+    assert found > 500
+
+
+def test_long_words_fail_fast_on_a_tiny_budget(e333):
+    # 3,000 letters: the split check is one pass over n/2 rotations, not
+    # a scan of all O(n^2) split points
+    w = Word.parse("s700 t800 s-700 t-799 r-1")
+    t0 = time.perf_counter()
+    assert prove_trivial(e333, w, Budget(max_states=10)) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

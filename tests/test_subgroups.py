@@ -107,13 +107,13 @@ def test_flat_family_templates_match_their_words():
 
 # certificate move counts are deterministic; frozen from the first runs
 VERIFY_MOVES = {
-    ("b", (1,)): 36,
-    ("b", (2, 1)): 101,
+    ("b", (1,)): 28,
+    ("b", (2, 1)): 77,
     ("c", ((1, 1),)): 27,
     ("c", ((-2, 1),)): 54,
     ("d", (1,)): 32,
-    ("e", (1,)): 50,
-    ("f", (1,)): 67,
+    ("e", (1,)): 44,
+    ("f", (1,)): 45,
 }
 
 
@@ -142,7 +142,7 @@ def test_verify_abelian_budget_exhaustion_raises():
 
 
 def test_klein_pair_and_composite():
-    expected = {1: (11, 1, 23), 2: (36, 8, 73)}
+    expected = {1: (11, 1, 23), 2: (30, 8, 61)}
     for k, (rel_moves, prod_moves, comp_moves) in expected.items():
         pair = klein_pair(k)
         assert str(pair.a) == "s1 t1 r1"
