@@ -109,7 +109,7 @@ def _build_patch(args) -> Patch:
         if args.scale == 1:
             return minimal_patch(tt)
         return scaled_patch(tt, args.scale)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"cannot build {tt.name} patch: {exc}")
 
 

@@ -20,11 +20,15 @@ The search works on freely reduced letter tuples.  A transition is a
 rule application or a whole-relator insertion followed by free
 reduction; each transition expands deterministically into elementary
 moves.  Equality searches run bidirectionally and meet in the middle.
-Long conjugated words are handled by peeling the conjugator one letter
-at a time.  Each layer is shortened by a small search that stops at the
-first word it generates that is no longer than the core, which keeps
-the intermediate words short enough for the meet-in-the-middle step.
 A word given to a search has at most MAX_CERT_LETTERS letters.
+
+Every strategy climbs one ladder.  A conjugated word c^-1 x c has its
+conjugator peeled one letter per layer, each layer's small search
+stopping at the first word no longer than the core; that keeps the
+words short enough to meet the target in the middle.  Failing that, one
+direct search meets the target.  `prove_trivial` first tries a
+commutator split, `prove_equal` last proves u v^-1 trivial.  The rule
+table is built once per presentation.
 
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
@@ -226,6 +230,11 @@ def invert_move(move: Move) -> Move:
     return Move("relator", move.pos, rule=(v, u))
 
 
+def _undo(moves) -> tuple[Move, ...]:
+    """The moves that take a move sequence's end back to its start."""
+    return tuple(invert_move(m) for m in reversed(moves))
+
+
 def mirror_move(move: Move, length: int) -> Move:
     """Image of `move` under word inversion.
 
@@ -325,8 +334,7 @@ def replay(cert: Certificate) -> bool:
 
 
 def invert_certificate(cert: Certificate) -> Certificate:
-    moves = tuple(invert_move(m) for m in reversed(cert.moves))
-    return Certificate(cert.presentation, cert.end, cert.start, moves)
+    return Certificate(cert.presentation, cert.end, cert.start, _undo(cert.moves))
 
 
 def mirror_certificate(cert: Certificate) -> Certificate:
@@ -351,23 +359,23 @@ def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     return Certificate(c1.presentation, c1.start, c2.end, c1.moves + c2.moves)
 
 
-def conjugated_certificate(cert: Certificate, w: Word) -> Certificate:
-    """From a certificate X -> Y, one for red(w X w^-1) -> red(w Y w^-1).
+def _in_context(cert: Certificate, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> Certificate:
+    """From a certificate X -> Y, one for red(left X right) -> red(left Y right).
 
-    Restores the junctions of w X w^-1, runs the original moves on the
-    inner window, then freely reduces the junctions of the result.  No
-    search is involved, so the output replays whenever the input does.
+    Restores the junctions of left X right, runs the original moves on
+    the inner window, then freely reduces the junctions of the result.
+    No search is involved, so the output replays whenever the input does.
     """
-    pres = cert.presentation
+    raw, end_raw = (left + tuple(w.letters()) + right for w in (cert.start, cert.end))
+    moves = _undo(reduction_moves(raw)[1]) + _shift_moves(cert.moves, len(left))
+    moves += reduction_moves(end_raw)[1]
+    return Certificate(cert.presentation, Word.from_letters(raw), Word.from_letters(end_raw), moves)
+
+
+def conjugated_certificate(cert: Certificate, w: Word) -> Certificate:
+    """From a certificate X -> Y, one for red(w X w^-1) -> red(w Y w^-1)."""
     wl = tuple(w.letters())
-    raw = wl + tuple(cert.start.letters()) + _inv_word(wl)
-    _, red_moves = reduction_moves(raw)
-    moves = [invert_move(m) for m in reversed(red_moves)]
-    moves.extend(_shift_moves(cert.moves, len(wl)))
-    end_raw = wl + tuple(cert.end.letters()) + _inv_word(wl)
-    _, end_moves = reduction_moves(end_raw)
-    moves.extend(end_moves)
-    return Certificate(pres, Word.from_letters(raw), Word.from_letters(end_raw), tuple(moves))
+    return _in_context(cert, wl, _inv_word(wl))
 
 
 def _shift_moves(moves: tuple[Move, ...], offset: int) -> tuple[Move, ...]:
@@ -386,9 +394,10 @@ class Budget:
 
 
 def _search_letters(w: Word) -> tuple[Letter, ...]:
-    """The letters of a word given to a search.  A word of more than
-    MAX_CERT_LETTERS letters raises WordTooLongError before it is
-    expanded: replay would refuse its certificate anyway."""
+    """The letters of a word given to a search, freely reduced since a
+    Word is syllable-reduced.  A word of more than MAX_CERT_LETTERS
+    letters raises WordTooLongError before it is expanded: replay would
+    refuse its certificate anyway."""
     if w.letter_length() > MAX_CERT_LETTERS:
         raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
     return tuple(w.letters())
@@ -446,6 +455,13 @@ class _Rules:
 
     def decode(self, codes: tuple[int, ...]) -> tuple[Letter, ...]:
         return tuple(self.letters[c] for c in codes)
+
+
+@lru_cache(maxsize=64)
+def _rule_table(pres: ArtinPresentation) -> _Rules:
+    """The rule table of `pres`, built once per presentation (of the 64
+    used last: a long process may meet many presentations)."""
+    return _Rules(pres)
 
 
 def _splice(letters: tuple[int, ...], pos: int, end: int, mid: tuple[int, ...]):
@@ -538,7 +554,7 @@ def _bidirectional_search(
     or None if the budget is exhausted first."""
     if source == target:
         return ()
-    rules = _Rules(pres)
+    rules = _rule_table(pres)
     sides = tuple(
         {"parents": {root: (None, None)}, "heap": [(len(root), 0, root)]}
         for root in (rules.encode(source), rules.encode(target))
@@ -547,7 +563,7 @@ def _bidirectional_search(
 
     def assemble(meet: tuple) -> tuple[Move, ...]:
         fwd, back = (_ops_to_moves(pres, rules, _reconstruct(side["parents"], meet)) for side in sides)
-        return fwd + tuple(invert_move(m) for m in reversed(back))  # back: target -> meet
+        return fwd + _undo(back)  # back: target -> meet
 
     while (sides[0]["heap"] or sides[1]["heap"]) and visited_total < budget.max_states:
         idx = 0 if sides[0]["heap"] and (
@@ -581,7 +597,7 @@ def _best_effort_shorten(
     """
     if len(start) <= goal:
         return start, ()
-    rules = _Rules(pres)
+    rules = _rule_table(pres)
     root = rules.encode(start)
     parents = {root: (None, None)}
     heap = [(len(root), 0, root)]
@@ -616,10 +632,8 @@ def _conjugation_chain(
     """Moves (conj^-1 core conj) -> h with h short, peeling one
     conjugating letter per layer.  conj = (c_1 ... c_n) wraps as
     c_n^-1 ... c_1^-1 core c_1 ... c_n, so layers run from c_1 out.
-    The move list starts from the raw nested letter sequence."""
-    if not conj:
-        red, red_moves = reduction_moves(core)
-        return red_moves, red
+    `core` is freely reduced.  The move list starts from the raw nested
+    letter sequence."""
     h = tuple(core)
     total_moves: list[Move] = []
     for c in conj:
@@ -661,8 +675,33 @@ def _conjugator_prefix(letters: tuple[Letter, ...]) -> int:
 DEFAULT_BUDGET = Budget()
 
 
-def _layer_budget(budget: Budget) -> Budget:
-    return Budget(max_states=min(4000, budget.max_states), max_len=budget.max_len)
+def _search_ladder(
+    pres: ArtinPresentation,
+    red: tuple[Letter, ...],
+    target: tuple[Letter, ...],
+    budget: Budget,
+    peel: tuple | None = None,
+) -> tuple[Move, ...] | None:
+    """Moves from the freely reduced `red` to `target`, or None.
+
+    A peel (restore, conj, core) has `restore` rewrite red into the
+    nesting conj^-1 core conj; by default red = p x p^-1 is peeled by its
+    conjugator prefix p when |p| >= 2 and red is longer than `target`.
+    The conjugator is peeled layer by layer and the short result meets
+    `target`; failing that, one direct search meets `target` from `red`.
+    """
+    if peel is None:
+        k = _conjugator_prefix(red)
+        if k >= 2 and len(red) > len(target):
+            peel = (), _inv_word(red[:k]), red[k : len(red) - k]
+    if peel is not None:
+        restore, conj, core = peel
+        layer_budget = Budget(max_states=min(4000, budget.max_states), max_len=budget.max_len)
+        chain_moves, h = _conjugation_chain(pres, conj, core, layer_budget)
+        tail = _bidirectional_search(pres, h, target, budget)
+        if tail is not None:
+            return restore + chain_moves + tail
+    return _bidirectional_search(pres, red, target, budget)
 
 
 def prove_conjugation(
@@ -676,18 +715,12 @@ def prove_conjugation(
     gl, xl = _search_letters(g), _search_letters(x)
     raw = gl + xl + _inv_word(gl)
     red, red_moves = reduction_moves(raw)
-    restore = tuple(invert_move(m) for m in reversed(red_moves))
-    start = Word.from_letters(raw)
     # Peel the conjugator from the inside: the word is
     # (g^-1)^-1 x (g^-1), so the chain argument is g^-1.
-    chain_moves, h = _conjugation_chain(pres, _inv_word(gl), xl, _layer_budget(budget))
-    tail = _bidirectional_search(pres, h, xl, budget)
-    if tail is None:
-        direct = _bidirectional_search(pres, red, xl, budget)
-        if direct is None:
-            return None
-        return Certificate(pres, start, x, direct)
-    return Certificate(pres, start, x, restore + chain_moves + tail)
+    moves = _search_ladder(pres, red, xl, budget, (_undo(red_moves), _inv_word(gl), xl))
+    if moves is None:
+        return None
+    return Certificate(pres, Word.from_letters(raw), x, moves)
 
 
 def prove_commutator(
@@ -706,15 +739,7 @@ def commutator_from_conjugation(conj: Certificate) -> Certificate:
     The result starts at the reduced form of (g x g^-1) x^-1 and ends
     empty: restore the junction, run the conjugation certificate on the
     prefix (the x^-1 suffix rides along), then cancel x x^-1."""
-    pres = conj.presentation
-    xl = tuple(conj.end.letters())
-    raw = tuple(conj.start.letters()) + _inv_word(xl)
-    red, red_moves = reduction_moves(raw)
-    restore = tuple(invert_move(m) for m in reversed(red_moves))
-    moves = list(restore) + list(conj.moves)
-    _, cancels = reduction_moves(xl + _inv_word(xl))
-    moves.extend(cancels)
-    return Certificate(pres, Word.from_letters(raw), Word(), tuple(moves))
+    return _in_context(conj, (), _inv_word(tuple(conj.end.letters())))
 
 
 def conjugation_product(
@@ -746,7 +771,7 @@ def conjugation_product(
             raise ValueError("certificate start is not red(g f g^-1)")
     raw = gl + whole + _inv_word(gl)
     red, red_moves = reduction_moves(raw)
-    moves: list[Move] = [invert_move(m) for m in reversed(red_moves)]
+    moves = list(_undo(red_moves))
     done = 0  # letters already finalised on the left
     for i, (cert, fl) in enumerate(zip(certs, fls)):
         if i < len(fls) - 1:
@@ -766,63 +791,31 @@ def prove_trivial(pres: ArtinPresentation, w: Word, budget: Budget = DEFAULT_BUD
     """Certificate rewriting w into the empty word, or None (which only
     ever means 'not found within budget', never 'nontrivial')."""
     letters = _search_letters(w)
-    red, red_moves = reduction_moves(letters)
-    if not red:
-        return Certificate(pres, w, Word(), red_moves)
-    split = _find_commutator_split(red)
+    split = _find_commutator_split(letters)
     if split is not None:
         p, q = split
-        conj = prove_conjugation(pres, Word.from_letters(p), Word.from_letters(q), budget)
-        if conj is not None:
-            comm = commutator_from_conjugation(conj)
-            return Certificate(pres, w, Word(), red_moves + comm.moves)
-    k = _conjugator_prefix(red)
-    if k >= 2:
-        # red = p x p^-1 with p = red[:k]; the chain argument is p^-1.
-        chain_moves, h = _conjugation_chain(
-            pres, _inv_word(red[:k]), red[k : len(red) - k], _layer_budget(budget)
-        )
-        tail = _bidirectional_search(pres, h, (), budget)
-        if tail is not None:
-            return Certificate(pres, w, Word(), red_moves + chain_moves + tail)
-    direct = _bidirectional_search(pres, red, (), budget)
-    if direct is None:
+        comm = prove_commutator(pres, Word.from_letters(p), Word.from_letters(q), budget)
+        if comm is not None:
+            return Certificate(pres, w, Word(), comm.moves)
+    moves = _search_ladder(pres, letters, (), budget)
+    if moves is None:
         return None
-    return Certificate(pres, w, Word(), red_moves + direct)
+    return Certificate(pres, w, Word(), moves)
 
 
 def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFAULT_BUDGET) -> Certificate | None:
     """Certificate rewriting u into v, or None within budget.
 
-    Tries a direct meet-in-the-middle search first; if that fails,
-    proves u v^-1 trivial and repackages (insert v^-1 v at the end of
-    u, erase the u v^-1 prefix, leaving v)."""
+    Tries the search ladder from u to v first; if that fails, proves
+    u v^-1 trivial and repackages (insert v^-1 v at the end of u, erase
+    the u v^-1 prefix, leaving v)."""
     ul, vl = _search_letters(u), _search_letters(v)
-    ur, u_moves = reduction_moves(ul)
-    vr, v_moves = reduction_moves(vl)
-    kp = _conjugator_prefix(ur)
-    if kp >= 2 and len(ur) > len(vr):
-        # ur = p x p^-1; peel p, then meet the short core with v.
-        chain_moves, h = _conjugation_chain(
-            pres, _inv_word(ur[:kp]), ur[kp : len(ur) - kp], _layer_budget(budget)
-        )
-        tail = _bidirectional_search(pres, h, vr, budget)
-        if tail is not None:
-            moves = u_moves + chain_moves + tail + tuple(
-                invert_move(m) for m in reversed(v_moves)
-            )
-            return Certificate(pres, u, v, moves)
-    direct = _bidirectional_search(pres, ur, vr, budget)
-    if direct is not None:
-        moves = u_moves + direct + tuple(invert_move(m) for m in reversed(v_moves))
+    moves = _search_ladder(pres, ul, vl, budget)
+    if moves is not None:
         return Certificate(pres, u, v, moves)
-    product = u * v.inverse()
-    triv = prove_trivial(pres, product, budget)
+    triv = prove_trivial(pres, u * v.inverse(), budget)
     if triv is None:
         return None
     # u -> u v^-1 v, then the u v^-1 prefix reduces and is erased, leaving v
     inserts = tuple(Move("insert", len(ul) + j, letter=l) for j, l in enumerate(_inv_word(vl)))
-    red, rmoves = reduction_moves(ul + _inv_word(vl))
-    if red != tuple(product.letters()):
-        raise AssertionError("free reduction mismatch while repackaging")
-    return Certificate(pres, u, v, inserts + rmoves + triv.moves)
+    return Certificate(pres, u, v, inserts + reduction_moves(ul + _inv_word(vl))[1] + triv.moves)

@@ -48,6 +48,7 @@ from artinflats.prover import (
     relator_rules,
     replay,
 )
+from artinflats.subgroups import family, flat_family
 
 
 def random_trivial_word(pres, rng, max_pairs=3):
@@ -230,6 +231,26 @@ def test_prove_equal(m3):
     assert cert is not None
     assert cert.start == Word.parse("s1 t1 s1")
     assert cert.end == Word.parse("t1 s1 t1")
+    assert replay(cert)
+
+
+def test_prove_equal_falls_back_to_the_trivial_word(monkeypatch):
+    # w1 w2 -> w2 w1 in family b: at 300 states neither the peeled nor
+    # the direct search meets, and u v^-1 is a commutator that
+    # prove_trivial splits and proves
+    pres = flat_family("b").presentation
+    w1, w2 = family("b", [1])
+    trivial = []
+
+    def spy(*args, **kwargs):
+        trivial.append(prove_trivial(*args, **kwargs))
+        return trivial[-1]
+
+    monkeypatch.setattr(prover, "prove_trivial", spy)
+    cert = prove_equal(pres, w1 * w2, w2 * w1, Budget(max_states=300))
+    assert len(trivial) == 1 and trivial[0] is not None
+    assert (cert.start, cert.end) == (w1 * w2, w2 * w1)
+    assert len(cert.moves) == 29
     assert replay(cert)
 
 

@@ -141,6 +141,19 @@ def test_verify_abelian_budget_exhaustion_raises():
         verify_abelian("e", [2, 2], budget=Budget(max_states=50))
 
 
+def test_verify_abelian_builds_one_rule_table(monkeypatch):
+    built = []
+    init = prover._Rules.__init__
+
+    def counting_init(self, pres):
+        built.append(pres)
+        init(self, pres)
+
+    monkeypatch.setattr(prover._Rules, "__init__", counting_init)
+    verify_abelian("b", [2, 1])
+    assert len(built) <= 1
+
+
 def test_klein_pair_and_composite():
     expected = {1: (11, 1, 23), 2: (30, 8, 61)}
     for k, (rel_moves, prod_moves, comp_moves) in expected.items():
@@ -176,7 +189,7 @@ def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
     def search_table(*args, **kwargs):
         raise AssertionError("replay reached the search's rule table")
 
-    for name in ("_rules_for", "relator_rules", "_Rules"):
+    for name in ("_rules_for", "relator_rules", "_Rules", "_rule_table"):
         monkeypatch.setattr(prover, name, search_table)
     for cert in certs:
         assert replay(cert)

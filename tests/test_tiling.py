@@ -77,7 +77,7 @@ def test_minimal_patch_shapes():
 
 
 def test_square_unit_lattice_refused():
-    with pytest.raises(AssertionError):
+    with pytest.raises(IncompatibleLatticeError):
         minimal_patch(TriangleType.SQUARE)
     patch = scaled_patch(TriangleType.SQUARE, 2)
     assert (len(patch.positions), len(patch.edges), len(patch.cells)) == (4, 8, 4)
