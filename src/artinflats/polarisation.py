@@ -5,12 +5,15 @@ m of them, joining opposite boundary vertices).  It is *admissible*
 when every vertex of the patch lies on exactly one chosen diagonal —
 an exact-cover condition, enumerated here both by constraint
 propagation and (for cross-checking on small patches) by brute force.
-The exact cover keeps, per item, the number of active options holding
-it, updated when an option is covered or uncovered, and branches on the
-item with the fewest (ties to the smallest item), as in the counted
-columns of Knuth's Dancing Links.  Completing a polarisation from its
-values on the maximal cells is the same exact cover, with those cells'
-options fixed before the search.
+Every vertex and every cell is an item.  A diagonal is an option unless
+its two ends are one vertex, which a small quotient can make; such a
+diagonal would cover that vertex twice.  The exact cover keeps, per
+item, the number of active options holding it, updated when an option
+is covered or uncovered, and branches on the item with the fewest (ties
+to the smallest item), as in the counted columns of Knuth's Dancing
+Links.  Completing a polarisation from its values on the maximal cells
+is the same exact cover, with those cells' options fixed before the
+search.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -132,19 +135,18 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
 def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
     """The exact cover of `enumerate_admissible` with each cell of
     `fixed` held to its given diagonal (its option chosen before the
-    search)."""
+    search); a fixed diagonal that is no option has no completion."""
     n_v = patch.vertex_count()
     options: list[tuple[int, int, tuple[int, ...]]] = []
-    first_option: dict[int, int] = {}
     for cell in patch.cells:
-        first_option[cell.index] = len(options)
         for d in range(cell.m):
             a, b = diagonal_vertices(cell, d)
-            options.append((cell.index, d, (a, b, n_v + cell.index)))
-    item_options: dict[int, list[int]] = {}
+            if a != b:
+                options.append((cell.index, d, (a, b, n_v + cell.index)))
+    item_options: dict[int, list[int]] = {it: [] for it in range(n_v + len(patch.cells))}
     for oi, (_, _, items) in enumerate(options):
         for it in items:
-            item_options.setdefault(it, []).append(oi)
+            item_options[it].append(oi)
     # count[it] = number of active options holding item it, kept up to
     # date by cover/uncover so that branching needs no set intersection
     count = {it: len(ois) for it, ois in item_options.items()}
@@ -190,9 +192,9 @@ def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
             chosen.pop()
 
     for ci, d in fixed.items():
-        oi = first_option[ci] + d
+        oi = next((oi for oi in item_options[n_v + ci] if options[oi][1] == d), None)
         if oi not in active_options:
-            return []  # a diagonal end already taken by an earlier fixed cell
+            return []  # no option, or an end taken by an earlier fixed cell
         chosen.append(oi)
         cover(oi)
     search()

@@ -25,10 +25,11 @@ A word given to a search has at most MAX_CERT_LETTERS letters.
 Every strategy climbs one ladder.  A conjugated word c^-1 x c has its
 conjugator peeled one letter per layer, each layer's small search
 stopping at the first word no longer than the core; that keeps the
-words short enough to meet the target in the middle.  Failing that, one
-direct search meets the target.  `prove_trivial` first tries a
-commutator split, `prove_equal` last proves u v^-1 trivial.  The rule
-table is built once per presentation.
+words short enough to meet the target in the middle, and a failed peel
+ends the ladder.  A word with nothing to peel meets the target by one
+direct search.  `prove_trivial` first tries a commutator split,
+`prove_equal` last proves u v^-1 trivial.  The rule table is built once
+per presentation.
 
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
@@ -403,29 +404,18 @@ def _search_letters(w: Word) -> tuple[Letter, ...]:
     return tuple(w.letters())
 
 
-def _freely_reduce(letters) -> tuple[Letter, ...]:
+def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:
+    """Freely reduce with the leftmost-pair strategy, recording moves.
+    The stack holds the reduced prefix, so a letter that cancels its top
+    makes the leftmost inverse pair of the current word."""
+    moves = []
     out: list[Letter] = []
     for l in letters:
         if out and out[-1][0] == l[0] and out[-1][1] == -l[1]:
-            out.pop()
+            moves.append(Move("cancel", len(out) - 1, letter=out.pop()))
         else:
             out.append(l)
-    return tuple(out)
-
-
-def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:
-    """Freely reduce with the leftmost-pair strategy, recording moves."""
-    moves = []
-    cur = list(letters)
-    while True:
-        for i in range(len(cur) - 1):
-            if cur[i][0] == cur[i + 1][0] and cur[i][1] == -cur[i + 1][1]:
-                moves.append(Move("cancel", i, letter=cur[i]))
-                del cur[i : i + 2]
-                break
-        else:
-            break
-    return tuple(cur), tuple(moves)
+    return tuple(out), tuple(moves)
 
 
 class _Rules:
@@ -688,7 +678,8 @@ def _search_ladder(
     nesting conj^-1 core conj; by default red = p x p^-1 is peeled by its
     conjugator prefix p when |p| >= 2 and red is longer than `target`.
     The conjugator is peeled layer by layer and the short result meets
-    `target`; failing that, one direct search meets `target` from `red`.
+    `target`; without a peel, one direct search meets `target` from
+    `red`.
     """
     if peel is None:
         k = _conjugator_prefix(red)
@@ -699,8 +690,7 @@ def _search_ladder(
         layer_budget = Budget(max_states=min(4000, budget.max_states), max_len=budget.max_len)
         chain_moves, h = _conjugation_chain(pres, conj, core, layer_budget)
         tail = _bidirectional_search(pres, h, target, budget)
-        if tail is not None:
-            return restore + chain_moves + tail
+        return None if tail is None else restore + chain_moves + tail
     return _bidirectional_search(pres, red, target, budget)
 
 
@@ -759,7 +749,7 @@ def conjugation_product(
     gl = tuple(g.letters())
     fls = [tuple(f.letters()) for f in factors]
     whole = tuple(l for f in fls for l in f)
-    if _freely_reduce(whole) != whole:
+    if reduction_moves(whole)[1]:
         raise ValueError("factor concatenation is not freely reduced")
     for c, f in zip(certs, factors):
         if c.presentation != pres:

@@ -53,8 +53,8 @@ from artinflats.tiling import (
     Patch,
     TriangleType,
     Vec,
+    _minimal_type_preserving_multiple,
     presentation_for,
-    translation_lattice,
     validate_directions,
 )
 from artinflats.polarisation import (
@@ -343,17 +343,6 @@ def _is_lattice_translation(patch: Patch, v0: int, vend: int, delta: Vec) -> boo
         return vend == patch.translate_vertex(v0, delta)
     except KeyError:
         return False
-
-
-def _minimal_type_preserving_multiple(tt: TriangleType, rho: Vec) -> Vec:
-    """Smallest positive multiple of rho lying in the type-preserving
-    translation lattice."""
-    (a, b), (_, c) = translation_lattice(tt)
-    for n in range(1, 2 * a * c + 1):
-        x, y = n * rho[0], n * rho[1]
-        if x % a == 0 and (y - (x // a) * b) % c == 0:
-            return (x, y)
-    raise ValueError(f"{rho} has no small type-preserving multiple")
 
 
 def _factor_instances(case: str, factors: int, bound: int):

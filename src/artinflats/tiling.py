@@ -24,9 +24,12 @@ lies in the group itself; the *type-preserving translation lattice* is
 therefore the translation subgroup, computed here by a breadth-first
 enumeration and frozen by exact determinant checks.
 
-Quotient lattices must lie inside that subgroup ("incompatible
-lattice" otherwise).  All positions, directions, and cell centres are
-exact integers.
+A lattice is kept as a basis; a spanning set is brought to its Hermite
+basis ((a, b), (0, c)) by the extended Euclid algorithm, and one
+determinant and one reduction modulo a basis serve every membership and
+index test.  Quotient lattices must lie inside the translation subgroup
+("incompatible lattice" otherwise).  All positions, directions, and cell
+centres are exact integers.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats import dihedral
@@ -144,47 +148,27 @@ def presentation_for(tt: TriangleType) -> ArtinPresentation:
 
 
 def _lattice_basis(vectors: list[Vec]) -> tuple[Vec, Vec]:
-    """Hermite-style canonical basis ((a, b), (0, c)) of the integer
-    lattice spanned by `vectors`; a, c > 0 and 0 <= b < c."""
-    vs = [v for v in vectors if v != (0, 0)]
-    if not vs:
-        raise ValueError("no nonzero vectors")
-    # Reduce to one vector with minimal positive x (via gcd combinations)
-    # and a set of x = 0 vectors.
-    work = list(vs)
-    pivot = None
-    rest_y: list[int] = []
-    while work:
-        v = work.pop()
-        x, y = v
-        if x == 0:
-            if y:
-                rest_y.append(abs(y))
-            continue
-        if pivot is None:
-            pivot = (abs(x), y if x > 0 else -y)
-            continue
-        # gcd step on x components
-        px, py = pivot
+    """Hermite basis ((a, b), (0, c)) of the integer lattice spanned by
+    `vectors`; a, c > 0 and 0 <= b < c.  Each vector (x, y) is absorbed
+    by the extended Euclid algorithm on the first coordinates of (a, b)
+    and (x, y): it leaves the pivot (gcd(a, x), b') and a vector (0, y')
+    whose y' joins the gcd c."""
+    a = b = c = 0
+    for x, y in vectors:
         while x:
-            q = px // x
-            px, py, x, y = abs(x), (y if x > 0 else -y), px - q * x, py - q * y
-            if x:
-                x, y = abs(x), (y if x > 0 else -y)
-        pivot = (px, py)
-        if y:
-            rest_y.append(abs(y))
-    if pivot is None:
-        raise ValueError("vectors span a rank-deficient lattice")
-    from math import gcd
-
-    c = 0
-    for y in rest_y:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
         c = gcd(c, y)
-    if c == 0:
+    if not a and not c:
+        raise ValueError("no nonzero vectors")
+    if not a or not c:
         raise ValueError("vectors span a rank-deficient lattice")
-    a, b = pivot
-    return (a, b % c), (0, c)
+    return (abs(a), (b if a > 0 else -b) % c), (0, c)
+
+
+def _det(basis: tuple[Vec, Vec]) -> int:
+    (a1, b1), (a2, b2) = basis
+    return a1 * b2 - b1 * a2
 
 
 def _reduce_mod(basis: tuple[Vec, Vec], v: Vec) -> Vec:
@@ -192,7 +176,7 @@ def _reduce_mod(basis: tuple[Vec, Vec], v: Vec) -> Vec:
     it: the floors of v's coordinates in `basis`, by integer floor
     division (which floors for either sign of the determinant)."""
     (a1, b1), (a2, b2) = basis
-    det = a1 * b2 - b1 * a2
+    det = _det(basis)
     if det == 0:
         raise ValueError("degenerate lattice")
     fa = (v[0] * b2 - v[1] * a2) // det
@@ -200,15 +184,11 @@ def _reduce_mod(basis: tuple[Vec, Vec], v: Vec) -> Vec:
     return (v[0] - fa * a1 - fb * a2, v[1] - fa * b1 - fb * b2)
 
 
-_translation_cache: dict[TriangleType, tuple[Vec, Vec]] = {}
-
-
+@lru_cache(maxsize=None)
 def translation_lattice(tt: TriangleType) -> tuple[Vec, Vec]:
     """Canonical basis of the type-preserving translation lattice (the
     translation subgroup of the type's group), found by a group ball
     search and certified by the exact index/determinant check."""
-    if tt in _translation_cache:
-        return _translation_cache[tt]
     data = _TYPE_DATA[tt]
     gens = [g for _, g in data["maps"]]
     seen = {AFFINE_ID}
@@ -228,13 +208,21 @@ def translation_lattice(tt: TriangleType) -> tuple[Vec, Vec]:
         if len(translations) >= 8:
             break
     basis = _lattice_basis(translations)
-    det = basis[0][0] * basis[1][1]
+    det = _det(basis)
     if det != data["translation_det"]:
         raise AssertionError(
             f"translation search for {tt} gave determinant {det}, expected {data['translation_det']}"
         )
-    _translation_cache[tt] = basis
     return basis
+
+
+def _minimal_type_preserving_multiple(tt: TriangleType, rho: Vec) -> Vec:
+    """Smallest positive multiple of rho lying in the type-preserving
+    translation lattice L.  The search ends by |det L|, the order of
+    Z^2 / L, since that multiple of any vector lies in L."""
+    basis = translation_lattice(tt)
+    multiples = ((n * rho[0], n * rho[1]) for n in range(1, abs(_det(basis)) + 1))
+    return next(v for v in multiples if _reduce_mod(basis, v) == (0, 0))
 
 
 class IncompatibleLatticeError(ValueError):
@@ -281,8 +269,7 @@ class Patch:
         self.lattice = (tuple(lattice[0]), tuple(lattice[1]))
         self.presentation = presentation_for(triangle_type)
         self.generators = _TYPE_DATA[triangle_type]["generators"]
-        det = self.lattice[0][0] * self.lattice[1][1] - self.lattice[0][1] * self.lattice[1][0]
-        if det == 0:
+        if _det(self.lattice) == 0:
             raise IncompatibleLatticeError("lattice is degenerate")
         tbasis = translation_lattice(triangle_type)
         for vec in self.lattice:
@@ -317,52 +304,43 @@ class Patch:
         self.vertex_edges.append([])
         return idx
 
-    def _add_edge(self, u: int, v: int, gen: str, delta: Vec) -> int:
+    def _add_edge(self, u: int, v: int, gen: str, delta: Vec) -> None:
         idx = len(self.edges)
         self.edges.append(Edge(idx, u, v, gen, delta))
         self.vertex_edges[u].append(idx)
         self.vertex_edges[v].append(idx)
         self.edge_cells.append([])
-        return idx
 
     def _build_orbit(self) -> None:
         data = _TYPE_DATA[self.triangle_type]
         p0 = data["base_point"]
-        reduce_t = lambda vec: _reduce_mod(self.lattice, vec)
 
         def key(w: Affine):
-            return (w[:4], reduce_t((w[4], w[5])))
+            return (w[:4], _reduce_mod(self.lattice, (w[4], w[5])))
 
-        start = AFFINE_ID
-        states: dict = {key(start): 0}
-        reps: list[Affine] = [start]
-        self._add_vertex(reduce_t(affine_apply(start, p0)))
+        states: dict = {key(AFFINE_ID): 0}
+        reps: list[Affine] = [AFFINE_ID]
+        self._add_vertex(_reduce_mod(self.lattice, p0))
         queue = deque([0])
-        edge_seen: dict[tuple[int, int, str], int] = {}
         while queue:
             i = queue.popleft()
             w = reps[i]
+            x, y = affine_apply(w, p0)
             for gname, g in data["maps"]:
                 wg = affine_compose(w, g)
+                p = affine_apply(wg, p0)
                 k = key(wg)
-                if k in states:
-                    j = states[k]
-                else:
-                    j = self._add_vertex(reduce_t(affine_apply(wg, p0)))
-                    states[k] = j
+                if k not in states:
+                    states[k] = self._add_vertex(_reduce_mod(self.lattice, p))
                     reps.append(wg)
-                    queue.append(j)
-                gp0 = affine_apply(g, p0)
-                delta = (
-                    w[0] * (gp0[0] - p0[0]) + w[1] * (gp0[1] - p0[1]),
-                    w[2] * (gp0[0] - p0[0]) + w[3] * (gp0[1] - p0[1]),
-                )
+                    queue.append(states[k])
+                j = states[k]
                 if i == j:
                     raise IncompatibleLatticeError("self-loop edge; lattice too small")
-                dmin = delta if i < j else (-delta[0], -delta[1])
-                ekey = (min(i, j), max(i, j), gname, dmin)
-                if ekey not in edge_seen:
-                    edge_seen[ekey] = self._add_edge(i, j, gname, delta)
+                delta = (p[0] - x, p[1] - y)
+                # j may have added this edge already, as its step back to i
+                if all(self.edges[ei].delta_from(i) != delta for ei in self.vertex_edges[i]):
+                    self._add_edge(i, j, gname, delta)
         expected = data["point_group_order"] * self._covering_index()
         if len(self.positions) != expected:
             raise AssertionError(
@@ -370,13 +348,8 @@ class Patch:
             )
 
     def _covering_index(self) -> int:
-        tb = translation_lattice(self.triangle_type)
-        det_t = tb[0][0] * tb[1][1] - tb[0][1] * tb[1][0]
-        det_l = (
-            self.lattice[0][0] * self.lattice[1][1]
-            - self.lattice[0][1] * self.lattice[1][0]
-        )
-        index, rest = divmod(abs(det_l), abs(det_t))
+        det_t = _det(translation_lattice(self.triangle_type))
+        index, rest = divmod(abs(_det(self.lattice)), abs(det_t))
         if rest:
             raise IncompatibleLatticeError("lattice index is not integral")
         return index
@@ -431,28 +404,17 @@ class Patch:
     def _canonical_cycle(
         self, verts: list[int], edges: list[int], pair: tuple[str, str]
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Rotate/orient the cycle to start at the minimal vertex along
-        its pair[0]-edge, making cell data order-independent."""
+        """The least rotation or reflection of the cycle that starts at
+        its least vertex along a pair[0]-edge, making cell data
+        order-independent."""
         n = len(verts)
-        best = None
-        for i in range(n):
-            if verts[i] != min(verts):
-                continue
-            for direction in (1, -1):
-                vs, es = [], []
-                for k in range(n):
-                    vi = (i + direction * k) % n
-                    vs.append(verts[vi])
-                    ei = (i + direction * k) % n if direction == 1 else (i + direction * k - 1) % n
-                    es.append(edges[ei % n])
-                if self.edges[es[0]].gen != pair[0]:
-                    continue
-                cand = (tuple(vs), tuple(es))
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise AssertionError("no canonical rotation found")
-        return best
+        back = [verts[-k] for k in range(n)], [edges[-k - 1] for k in range(n)]
+        return min(
+            (tuple(vs[k:] + vs[:k]), tuple(es[k:] + es[:k]))
+            for vs, es in ((verts, edges), back)
+            for k in range(n)
+            if vs[k] == min(verts) and self.edges[es[k]].gen == pair[0]
+        )
 
     # -- navigation ---------------------------------------------------
 
@@ -622,6 +584,8 @@ class DirectedEdge:
 
 DirectionAssignment = dict[int, DirectedEdge]
 
+_DIRECTION_LABELS = (1, 2)
+
 
 @dataclass
 class Violation:
@@ -726,9 +690,7 @@ def standard_directions(patch: Patch) -> DirectionAssignment:
     return d
 
 
-def enumerate_consistent_directions(
-    patch: Patch, labels: tuple[int, ...] = (1, 2)
-) -> list[DirectionAssignment]:
+def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
     """All assignments passing the cell-word and long-pairing checks
     (the single-direction check is left to the caller, so that both the
     passing and the crossing-family assignments can be inspected).
@@ -773,7 +735,7 @@ def enumerate_consistent_directions(
             return
         ei = edge_order[k]
         e = patch.edges[ei]
-        for label in labels:
+        for label in _DIRECTION_LABELS:
             for source in (min(e.u, e.v), max(e.u, e.v)):
                 assignment[ei] = DirectedEdge(source, label)
                 if admissible_so_far(ei):

@@ -82,6 +82,17 @@ def test_polarisations(run_cli):
     assert code == 1
 
 
+def test_polarisations_on_square_quotients_that_fold_a_cell(run_cli):
+    # the unit square meets one vertex twice on these quotients, so no
+    # polarisation is admissible
+    for lattice in ("1,1;0,3", "1,1;-1,1"):
+        code, out, err = run_cli(
+            "polarisations", "--type", "SQUARE", "--lattice", lattice, "--check-rigidity"
+        )
+        assert code == 0 and "Traceback" not in err
+        assert f"SQUARE lattice {lattice}: 0 admissible polarisations" in out
+
+
 RENDER_ARGS = {
     "e333_bare.svg": ["--type", "E333"],
     "e333_directions.svg": ["--type", "E333", "--directions", "standard", "--polarisation", "induced"],

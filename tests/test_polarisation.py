@@ -9,6 +9,7 @@ cross-check at the scales where it is feasible.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -28,6 +29,8 @@ from artinflats.polarisation import (
     rigidity_witnesses,
 )
 from artinflats.tiling import (
+    IncompatibleLatticeError,
+    Patch,
     TriangleType,
     enumerate_consistent_directions,
     minimal_patch,
@@ -142,6 +145,22 @@ def test_naive_agrees_at_x2_e333():
     assert sorted(map(sorted, (l.items() for l in smart))) == sorted(
         map(sorted, (l.items() for l in naive))
     )
+
+
+def test_naive_agrees_on_small_square_quotients():
+    # small quotients fold a unit square onto one vertex twice, or leave
+    # a vertex on no diagonal; 240 of these lattices build a patch
+    built = 0
+    for x1, y1, x2, y2 in product(range(-2, 3), repeat=4):
+        if not 0 < abs(x1 * y2 - y1 * x2) <= 6:
+            continue
+        try:
+            patch = Patch(TriangleType.SQUARE, ((x1, y1), (x2, y2)))
+        except IncompatibleLatticeError:
+            continue
+        built += 1
+        assert enumerate_admissible(patch) == naive_enumerate_admissible(patch), (x1, y1, x2, y2)
+    assert built == 240
 
 
 def test_coverage_counts_vertices(patch333):

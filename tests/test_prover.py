@@ -24,7 +24,6 @@ from artinflats.prover import (
     ReplayError,
     SearchBudgetError,
     WordTooLongError,
-    _freely_reduce,
     _inv_word,
     _Rules,
     _best_effort_shorten,
@@ -45,6 +44,7 @@ from artinflats.prover import (
     prove_conjugation,
     prove_equal,
     prove_trivial,
+    reduction_moves,
     relator_rules,
     replay,
 )
@@ -355,7 +355,7 @@ def test_commutator_split_matches_the_double_loop(e333):
         else:
             w = p + q + random_reduced(e333, rng, rng.randint(0, 8))
         if rng.random() < 0.5:
-            w = _freely_reduce(w)
+            w = reduction_moves(w)[0]
         expect = reference_commutator_split(w)
         assert _find_commutator_split(w) == expect, w
         found += expect is not None
@@ -469,14 +469,40 @@ def naive_transitions(pres, letters, max_len):
         for variant, (u, v) in enumerate(rules):
             for pos in range(n - m + 1):
                 if letters[pos : pos + m] == u:
-                    nxt = _freely_reduce(letters[:pos] + v + letters[pos + m :])
+                    nxt = reduction_moves(letters[:pos] + v + letters[pos + m :])[0]
                     yield nxt, ("rewrite", pos, (a, b), variant)
             if n + 2 * m <= max_len:
                 ins = u + _inv_word(v)
                 for pos in range(n + 1):
-                    nxt = _freely_reduce(letters[:pos] + ins + letters[pos:])
+                    nxt = reduction_moves(letters[:pos] + ins + letters[pos:])[0]
                     if len(nxt) <= max_len:
                         yield nxt, ("insert", pos, (a, b), variant)
+
+
+def leftmost_pair_reduction(letters):
+    """Free reduction that restarts from the left after every
+    cancellation: the reference for `reduction_moves`."""
+    moves, cur = [], list(letters)
+    while True:
+        for i in range(len(cur) - 1):
+            if cur[i][0] == cur[i + 1][0] and cur[i][1] == -cur[i + 1][1]:
+                moves.append(Move("cancel", i, letter=cur[i]))
+                del cur[i : i + 2]
+                break
+        else:
+            return tuple(cur), tuple(moves)
+
+
+def test_reduction_moves_match_the_leftmost_pair_restart_loop():
+    rng = random.Random(17)
+    letters = [(g, s) for g in ("s", "t") for s in (1, -1)]
+    cancelled = 0
+    for _ in range(2000):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 16)))
+        got = reduction_moves(w)
+        assert got == leftmost_pair_reduction(w), w
+        cancelled += len(got[1]) >= 2
+    assert cancelled > 500
 
 
 def random_reduced(pres, rng, length):
@@ -490,7 +516,7 @@ def random_reduced(pres, rng, length):
             piece = rng.choice((u, v))
         else:
             piece = ((rng.choice(pres.generators), rng.choice((1, -1))),)
-        out = _freely_reduce(out + piece)
+        out = reduction_moves(out + piece)[0]
     return out[:length]
 
 
@@ -535,7 +561,7 @@ def test_splice_cancels_through_an_emptied_middle(m3):
         pos = rng.randint(0, len(letters))
         end = rng.randint(pos, len(letters))
         a, b, c = _splice(rules.encode(letters), pos, end, rules.encode(mid))
-        assert rules.decode(a + b + c) == _freely_reduce(letters[:pos] + mid + letters[end:])
+        assert rules.decode(a + b + c) == reduction_moves(letters[:pos] + mid + letters[end:])[0]
 
 
 def test_letter_codes_sort_like_letters():

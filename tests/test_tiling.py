@@ -10,7 +10,8 @@ boundary spells a relator.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from artinflats.polarisation import enumerate_admissible, rigidity_witnesses
 from artinflats.tiling import (
     _cell_checks,
     _cell_consistent,
+    _lattice_basis,
     _reduce_mod,
     DirectedEdge,
     Edge,
@@ -327,6 +329,33 @@ def test_reduce_mod_matches_fraction_reference():
             assert 0 <= alpha < 1 and 0 <= beta < 1
     with pytest.raises(ValueError):
         _reduce_mod(((1, 2), (2, 4)), (3, 3))
+
+
+def test_lattice_basis_is_the_hermite_basis():
+    # characterised without its algorithm: ((a, b), (0, c)) in Hermite
+    # form holding every input, with index a c equal to the gcd of the
+    # inputs' 2x2 minors, which is the index of the lattice they span
+    rng = random.Random(19)
+    for _ in range(2000):
+        vs = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(2, 5))]
+        minors = 0
+        for (x1, y1), (x2, y2) in combinations(vs, 2):
+            minors = gcd(minors, x1 * y2 - y1 * x2)
+        if minors == 0:
+            with pytest.raises(ValueError):
+                _lattice_basis(vs)
+            continue
+        basis = _lattice_basis(vs)
+        (a, b), (zero, c) = basis
+        assert a > 0 and c > 0 and 0 <= b < c and zero == 0
+        assert all(_reduce_mod(basis, v) == (0, 0) for v in vs)
+        assert a * c == minors
+    # rank-deficient sets: multiples of one vector, or nothing nonzero
+    for _ in range(200):
+        p = (rng.randint(-5, 5), rng.randint(-5, 5))
+        vs = [(k * p[0], k * p[1]) for k in (rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))]
+        with pytest.raises(ValueError):
+            _lattice_basis(vs)
 
 
 def test_translation_matches_translate_vertex_and_cell():
