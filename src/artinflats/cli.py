@@ -533,8 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("girth-sweep", help="Classifier vs oracle over all short alternating words.")
-    p.add_argument("-m", type=int, required=True, help="dihedral exponent, 2..6")
-    p.add_argument("--exponent-bound", type=int, default=2, help="syllable exponents in 1..bound")
+    p.add_argument(
+        "-m",
+        type=int,
+        required=True,
+        help="dihedral exponent, 2..8; the sweep computes 2*(2*bound)^m normal forms, "
+        f"and (2*bound)^m may not exceed {girth.MAX_SWEEP_HALVES:,}",
+    )
+    p.add_argument("--exponent-bound", type=int, default=2, help="syllable exponents in 1..bound, bound <= 3")
     p.set_defaults(func=cmd_girth_sweep)
 
     p = sub.add_parser("polarisations", help="Enumerate admissible polarisations of a patch.")

@@ -13,14 +13,16 @@ f_i, so no letter can migrate leftwards.  Simples are encoded as
 (start_letter, length) with letters 0 and 1 and 0 < length < m; Delta
 only ever appears as the power p, never as a factor.
 
-The normal form is built by multiplying on the right one letter at a
-time.  A positive letter either extends the last factor, opens a new
-factor (when it repeats the last letter), or completes Delta; then the
-last factor is dropped and, because  x Delta = Delta tau(x)  with tau
-the letter swap for odd m (the identity for even m), the factors left
-of it are twisted.  The twist is kept as a parity rather than applied.
-An inverse letter c^-1 is Delta^-1 L, where L is the simple of length
-m - 1 with L c = Delta.
+The normal form is built by multiplying on the right one simple
+element at a time.  A simple either extends the last factor, opens a
+new factor (when its first letter repeats the last letter), or
+completes Delta; then the last factor is dropped, the rest of the
+simple goes on, and, because  x Delta = Delta tau(x)  with tau the
+letter swap for odd m (the identity for even m), the factors left of
+it are twisted.  The twist is kept as a parity rather than applied.  A
+positive letter is a simple of length 1, and an inverse letter c^-1 is
+Delta^-1 L, where L is the simple of length m - 1 with L c = Delta, so
+each costs O(1) plus one step per Delta completed, whatever m is.
 
 The second route is a breadth-first closure over raw letter strings
 under free cancellation, free insertion, and balanced relator rewrites
@@ -68,26 +70,37 @@ class _Chain:
 
     def push(self, letter: int, sign: int) -> None:
         """Multiply by the letter (0 or 1) raised to sign (+1 or -1)."""
-        if sign < 0:
+        if sign > 0:
+            self.push_simple(letter, 1)
+        else:
             # c^-1 = Delta^-1 L, where L alternates for m - 1 letters and
             # ends on 1 - c, so that L c = Delta.
             self.delta(-1)
-            start = (1 - letter) ^ (self.m & 1)
-            for i in range(self.m - 1):
-                self.push(start ^ (i & 1), 1)
-            return
-        letter ^= self.twist
+            self.push_simple((1 - letter) ^ (self.m & 1), self.m - 1)
+
+    def push_simple(self, letter: int, ln: int) -> None:
+        """Multiply by the simple element of length ln (0 < ln < m) that
+        starts with letter: O(1), plus one step per Delta it completes."""
         factors = self.factors
-        if factors:
-            start, ln = factors[-1]
-            if letter == start ^ (ln & 1):  # continues the alternation
-                if ln + 1 == self.m:
+        while True:
+            x = letter ^ self.twist
+            if factors:
+                start, have = factors[-1]
+                if x == start ^ (have & 1):  # continues the alternation
+                    if have + ln < self.m:
+                        factors[-1] = (start, have + ln)
+                        return
+                    # The first m - have letters complete Delta.
+                    used = self.m - have
                     factors.pop()
                     self.delta(1)
-                else:
-                    factors[-1] = (start, ln + 1)
-                return
-        factors.append((letter, 1))
+                    ln -= used
+                    if not ln:
+                        return
+                    letter ^= used & 1
+                    continue
+            factors.append((x, ln))
+            return
 
     def normal_form(self, generators: tuple[str, str]) -> NormalForm:
         t = self.twist
@@ -175,16 +188,17 @@ def multiply(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     chain = _Chain(nf1.m, nf1.power, nf1.factors)
     chain.delta(nf2.power)
     for start, ln in nf2.factors:
-        for i in range(ln):
-            chain.push(start ^ (i & 1), 1)
+        chain.push_simple(start, ln)
     return chain.normal_form(nf1.generators)
 
 
 def invert(nf: NormalForm) -> NormalForm:
     chain = _Chain(nf.m)
     for start, ln in reversed(nf.factors):
-        for i in reversed(range(ln)):
-            chain.push(start ^ (i & 1), -1)
+        # f g = Delta for the simple g of length m - ln after f, so
+        # f^-1 = g Delta^-1 = Delta^-1 tau(g).
+        chain.delta(-1)
+        chain.push_simple(start ^ (ln & 1) ^ (nf.m & 1), nf.m - ln)
     chain.delta(-nf.power)
     return chain.normal_form(nf.generators)
 

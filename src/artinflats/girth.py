@@ -16,14 +16,23 @@ tests drive it against the Garside normal form over full sweeps.
 For m = 2 the analogous family is x^k y^l x^{-k} y^{-l} (k, l nonzero),
 every cyclic rotation of which is again of that shape.
 
-`girth_sweep` meets in the middle (Horowitz and Sahni, 1974).  Garside
-normal forms are unique, so a word p q is trivial exactly when
-NF(p) = NF(q^-1).  The sweep computes one normal form per left half p
-and one per inverted right half q, interns them to small ints, and
-reads each word's oracle verdict off a comparison of two ids: 2 (2b)^m
-normal forms instead of (2b)^(2m) for exponent bound b.  The classifier
-still runs on every word's exponent tuple, so the check stays
-exhaustive, word by word.
+`girth_sweep` meets in the middle (Horowitz and Sahni, 1974) on both
+sides.  Garside normal forms are unique, so a word p q is trivial
+exactly when NF(p) = NF(q^-1).  The sweep computes one normal form per
+left half p and one per inverted right half q, interns them to small
+ints, and reads the oracle-trivial words off equal ids: 2 (2b)^m normal
+forms instead of (2b)^(2m) for exponent bound b.  The classifier side
+splits by rotation.  With m syllables in each half, p q matches the
+template at rotation r < m with power k exactly when
+
+    p = ((-1)^r, k, 1^(m-1-r))   and   q = (1^r, -k, (-1)^(m-1-r)),
+
+and at rotation m + r when the same holds with p and q swapped; for
+m = 2, exactly when q = -p.  Each key (side, r, k) thus names one
+left half and one right half, and those pairs are the only candidates.
+`match_exponents` (or `_is_commutator`) decides each candidate, so the
+classifier stays the arbiter; that no matching word lies outside the
+candidates is checked word by word in the tests.
 """
 
 from __future__ import annotations
@@ -163,6 +172,24 @@ def _alternating(exps: tuple[int, ...], start: int) -> Word:
     return reduce(("st"[(start + i) % 2], e) for i, e in enumerate(exps))
 
 
+def _template_pairs(m: int, exps: list[int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The halves (p, q) that share a key: every word p q that can match
+    the template, in the sweep over the exponents `exps`."""
+    if m == 2:
+        return {(p, tuple(-e for e in p)) for p in itertools.product(exps, repeat=2)}
+    pairs = set()
+    for r in range(m):
+        for k in exps:
+            left = (-1,) * r + (k,) + (1,) * (m - 1 - r)
+            right = (1,) * r + (-k,) + (-1,) * (m - 1 - r)
+            pairs.add((left, right))
+            pairs.add((right, left))
+    return pairs
+
+
+MAX_SWEEP_HALVES = 65_536
+
+
 def girth_sweep(m: int, bound: int) -> SweepResult:
     """Drive the syntactic classifier against the Garside normal form over
     every alternating word with 2m syllables, starting on s,
@@ -172,15 +199,23 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
     and a right half q, starting on s for even m and on t for odd m.  The
     normal form of each distinct p and of each distinct q^-1 is computed
     once; p q is trivial exactly when the two are equal.  The classifier
-    runs on every word.  Words are visited in the order of
-    itertools.product over the exponents 1, -1, 2, -2, ...
+    runs on the candidate words that the half-word keys propose (see the
+    module docstring); every other word is classifier-negative.  A word
+    counts as a disagreement when exactly one side calls it trivial, and
+    the first one is the least in the order of itertools.product over
+    the exponents 1, -1, 2, -2, ...
 
-    Raises ValueError unless 2 <= m <= 6 and 1 <= bound <= 3.
+    Raises ValueError unless 2 <= m <= 8, 1 <= bound <= 3 and the sweep
+    has at most MAX_SWEEP_HALVES half-words, (2 bound)^m.
     """
-    if not 2 <= m <= 6:
-        raise ValueError("m must be in 2..6")
+    if not 2 <= m <= 8:
+        raise ValueError("m must be in 2..8")
     if not 1 <= bound <= 3:
         raise ValueError("exponent bound must be in 1..3")
+    if (2 * bound) ** m > MAX_SWEEP_HALVES:
+        raise ValueError(
+            f"m={m} bound={bound} has {(2 * bound) ** m} half-words, more than {MAX_SWEEP_HALVES}"
+        )
     pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
     exps = [e for k in range(1, bound + 1) for e in (k, -k)]
     halves = list(itertools.product(exps, repeat=m))
@@ -190,18 +225,18 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
         return ids.setdefault(dihedral.normal_form(pres, word), len(ids))
 
     left_ids = [intern(_alternating(p, 0)) for p in halves]
-    right_ids = [intern(_alternating(q, m & 1).inverse()) for q in halves]
+    rights: dict[int, list[int]] = {}
+    for j, q in enumerate(halves):
+        rights.setdefault(intern(_alternating(q, m & 1).inverse()), []).append(j)
+    trivial = {(i, j) for i, left in enumerate(left_ids) for j in rights.get(left, ())}
     # The exponent-only classifier core; truthy exactly on a template match.
     core = _is_commutator if m == 2 else functools.partial(match_exponents, m)
-    trivial = agree = 0
+    index = {h: i for i, h in enumerate(halves)}
+    matched = {(index[p], index[q]) for p, q in _template_pairs(m, exps) if core(p + q)}
+    disagree = trivial ^ matched
     first = None
-    for p, left in zip(halves, left_ids):
-        for q, right in zip(halves, right_ids):
-            word_exps = p + q
-            oracle = left == right
-            trivial += oracle
-            if bool(core(word_exps)) == oracle:
-                agree += 1
-            elif first is None:
-                first = _alternating(word_exps, 0)
-    return SweepResult(len(halves) ** 2, trivial, agree, first)
+    if disagree:
+        i, j = min(disagree)
+        first = _alternating(halves[i] + halves[j], 0)
+    total = len(halves) ** 2
+    return SweepResult(total, len(trivial), total - len(disagree), first)

@@ -56,6 +56,7 @@ def test_criterion_1_girth_lemma_equivalence():
     for m, (want_total, want_trivial) in expected.items():
         r = girth_sweep(m, 2)
         ok &= r.total == want_total and r.trivial == want_trivial and r.agree == r.total
+        ok &= r.trivial == 2 * m * (2 * 2 - 1)
         parts.append(f"m={m} {r.agree}/{r.total}")
     r = girth_sweep(2, 3)
     ok &= r.total == 1296 and r.trivial == 36 and r.agree == r.total

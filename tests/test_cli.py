@@ -58,6 +58,7 @@ def test_usage_errors(run_cli):
     assert run_cli()[0] == 1
     assert run_cli("bogus")[0] == 1
     assert run_cli("girth-sweep", "-m", "9")[0] == 1
+    assert run_cli("girth-sweep", "-m", "7", "--exponent-bound", "3")[0] == 1
     assert run_cli("girth-sweep", "-m", "3", "--exponent-bound", "0")[0] == 1
 
 
@@ -67,6 +68,8 @@ def test_girth_sweep(run_cli):
     assert "16 words" in out and "16/16" in out and "100.0%" in out
     code, out, _ = run_cli("girth-sweep", "-m", "3", "--exponent-bound", "1")
     assert code == 0 and "64/64" in out
+    code, out, _ = run_cli("girth-sweep", "-m", "7", "--exponent-bound", "1")
+    assert code == 0 and "16384 words, 14 trivial" in out
 
 
 def test_polarisations(run_cli):

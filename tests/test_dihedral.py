@@ -70,6 +70,69 @@ def test_multiply_and_invert_match_word_operations(m2, m3, m4, m5, m6):
             assert invert(normal_form(pres, u)) == normal_form(pres, u.inverse())
 
 
+def _letter_by_letter(m, word):
+    """Reference chain: (power, factors) of the normal form, built one
+    positive letter at a time; an inverse letter c^-1 is Delta^-1 and
+    then the m - 1 letters of the simple L with L c = Delta."""
+    power = twist = 0
+    factors = []
+
+    def positive(letter):
+        nonlocal power, twist
+        letter ^= twist
+        if factors:
+            start, ln = factors[-1]
+            if letter == start ^ (ln & 1):
+                if ln + 1 == m:
+                    factors.pop()
+                    power += 1
+                    twist ^= m & 1
+                else:
+                    factors[-1] = (start, ln + 1)
+                return
+        factors.append((letter, 1))
+
+    for g, sign in word.letters():
+        letter = "st".index(g)
+        if sign > 0:
+            positive(letter)
+        else:
+            power -= 1
+            twist ^= m & 1
+            start = (1 - letter) ^ (m & 1)
+            for i in range(m - 1):
+                positive(start ^ (i & 1))
+    return power, tuple((s ^ twist, ln) for s, ln in factors)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_whole_simple_pushes_match_a_letter_by_letter_chain(m):
+    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+    rng = random.Random(m)
+    for _ in range(300):
+        u, v = random_word(rng, 8, 3), random_word(rng, 8, 3)
+        nf_u = normal_form(pres, u)
+        assert (nf_u.power, nf_u.factors) == _letter_by_letter(m, u)
+        inv = invert(nf_u)
+        assert (inv.power, inv.factors) == _letter_by_letter(m, u.inverse())
+        prod = multiply(nf_u, normal_form(pres, v))
+        assert (prod.power, prod.factors) == _letter_by_letter(m, u * v)
+
+
+def test_inverse_letters_at_a_huge_exponent():
+    """An inverse letter is one push of a simple element of length m - 1,
+    so m = 10^9 costs no more than m = 6 (letter by letter it would take
+    10^9 steps per inverse letter)."""
+    word = Word.parse("s-1 t-1 s1 t2")
+    for m in (6, 8, 10, 10**9):
+        pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+        nf = normal_form(pres, word)
+        assert (nf.power, nf.factors) == (-1, ((1, m - 2), (0, 2), (1, 1)))
+        if m <= 10:
+            assert (nf.power, nf.factors) == _letter_by_letter(m, word)
+        assert multiply(nf, invert(nf)).is_identity
+
+
 def test_is_trivial_known_words(m2, m3):
     assert is_trivial(m3, Word.parse(""))
     assert is_trivial(m3, Word.parse("s1 t1 s1 t-1 s-1 t-1"))

@@ -3,9 +3,12 @@
 A nontrivial word with fewer than 2m syllables bounds no van Kampen
 diagram, and at exactly 2m syllables the trivial words form a single
 rotated one-parameter family.  The classifier is validated here against
-the Garside oracle over the full m = 3 sweep, and the meet-in-the-middle
-`girth_sweep` against a word-by-word loop on every sweep of at most
-4,096 words; the larger sweeps run in test_acceptance.
+the Garside oracle over the full m = 3 sweep.  `girth_sweep` meets in
+the middle on both sides: the half-word keys are checked against the
+classifier on every word of the sweeps up to m = 5, b = 2, and the
+whole sweep against a word-by-word loop on every sweep of at most 4,096
+words; the larger sweeps run here with frozen counts and in
+test_acceptance.
 """
 
 import itertools
@@ -142,6 +145,27 @@ def test_girth_sweep_matches_word_by_word(m, bound):
     result = girth.girth_sweep(m, bound)
     assert tuple(result) == _word_by_word_sweep(m, bound)
     assert result.agree == result.total and result.first_disagreement is None
+    if m >= 3:
+        assert result.trivial == 2 * m * (2 * bound - 1)
+
+
+@pytest.mark.parametrize("m, bound", [(m, b) for m in (2, 3, 4, 5) for b in (1, 2)])
+def test_half_word_keys_propose_every_template_match(m, bound):
+    """Exhaustive: the pairs of halves that share a key are exactly the
+    words the classifier core matches.  The sweep never runs the core
+    on any other word, so this is what rules out false negatives."""
+    exps = [e for k in range(1, bound + 1) for e in (k, -k)]
+    core = girth._is_commutator if m == 2 else lambda w: girth.match_exponents(m, w)
+    matched = {(w[:m], w[m:]) for w in itertools.product(exps, repeat=2 * m) if core(w)}
+    assert girth._template_pairs(m, exps) == matched
+
+
+@pytest.mark.parametrize("m, bound, trivial", [(6, 2, 36), (7, 2, 42)])
+def test_girth_sweep_frozen_counts_beyond_criterion_1(m, bound, trivial):
+    result = girth.girth_sweep(m, bound)
+    total = (2 * bound) ** (2 * m)
+    assert tuple(result) == (total, trivial, total, None)
+    assert result.trivial == 2 * m * (2 * bound - 1)
 
 
 @pytest.fixture
