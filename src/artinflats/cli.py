@@ -5,8 +5,8 @@ Exit codes follow a fixed contract so sweeps can run under CI:
 
     0   success
     1   usage error (bad arguments, unparsable words, words too long to
-        search, bad input files, output that cannot be written, stdout
-        closed by its reader)
+        search, normal forms too long to print, bad input files, output
+        that cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted
 
@@ -32,7 +32,7 @@ from artinflats.polarisation import (
     polarisation_to_json,
 )
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import Budget, Certificate, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.prover import MAX_CERT_LETTERS, Budget, Certificate, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
 from artinflats.subgroups import family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
     DirectionAssignment,
@@ -141,6 +141,9 @@ def cmd_normalize(args) -> int:
         nf = dihedral.normal_form(pres, word)
     except ValueError as exc:
         raise UsageError(str(exc))
+    letters = sum(ln for _, ln in nf.factors)
+    if letters > MAX_CERT_LETTERS:
+        raise UsageError(f"normal form spells {letters} letters, more than {MAX_CERT_LETTERS}")
     print(nf)
     return EXIT_OK
 

@@ -219,10 +219,12 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
     pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
     exps = [e for k in range(1, bound + 1) for e in (k, -k)]
     halves = list(itertools.product(exps, repeat=m))
-    ids: dict[dihedral.NormalForm, int] = {}
+    # keyed by (power, factors): every form here has the same generators and m
+    ids: dict[tuple[int, tuple[dihedral.Simple, ...]], int] = {}
 
     def intern(word: Word) -> int:
-        return ids.setdefault(dihedral.normal_form(pres, word), len(ids))
+        nf = dihedral.normal_form(pres, word)
+        return ids.setdefault((nf.power, nf.factors), len(ids))
 
     left_ids = [intern(_alternating(p, 0)) for p in halves]
     rights: dict[int, list[int]] = {}

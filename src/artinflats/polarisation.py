@@ -24,11 +24,13 @@ The rigidity check finds, for an admissible polarisation, a single
 edge-direction class `e` such that every maximal cell's diagonal ends
 on `e`-parallel edges, together with a translation `rho` perpendicular
 to `e` that maps maximal cell to maximal cell and preserves the whole
-polarisation.  `rho` is constructed from the local configurations
-(cell pair sharing an edge; square with parallel edges in two maximal
-cells; the hexagon-square-hexagon chain of four parallel edges) and
-then verified exactly on the patch, through the translation's vertex
-and cell maps, which the patch computes once per vector
+polarisation.  `rho` comes from one walk along a strip: from a maximal
+cell on an `e`-edge, cross that edge, and leave each smaller cell by
+its edge parallel to the one just crossed (a square's opposite edge, a
+hexagon's parallel edge) until a maximal cell is reached; `rho` joins
+the centres of the two maximal cells, their lifts glued edge to edge.
+It is then verified exactly on the patch, through the translation's
+vertex and cell maps, which the patch computes once per vector
 (`Patch.translation`) and every polarisation of the patch reuses.
 """
 
@@ -239,16 +241,16 @@ def allowed_classes(patch: Patch, cell: Cell, d: int) -> set[Vec]:
     return {cls_before, cls_after}
 
 
-def _position_in_cell(cell: Cell, edge_index: int) -> int:
-    for k, ei in enumerate(cell.edges):
-        if ei == edge_index:
-            return k
-    raise ValueError(f"edge {edge_index} not on cell {cell.index}")
-
-
-def _other_cell(patch: Patch, edge_index: int, cell: Cell) -> Cell:
-    a, b = patch.edge_cells[edge_index]
-    return patch.cells[b] if a == cell.index else patch.cells[a]
+def _across(patch: Patch, cell: Cell, pos: int) -> tuple[Cell, int]:
+    """The cell on the other side of the edge at boundary position `pos`
+    of `cell`, and that edge's position in it.  No edge lies twice on
+    one cell (its two cells differ in generator pair, or for SQUARE the
+    patch would have a self-loop), so crossing back returns to
+    (cell, pos)."""
+    ei = cell.edges[pos]
+    a, b = patch.edge_cells[ei]
+    other = patch.cells[b if a == cell.index else a]
+    return other, other.edges.index(ei)
 
 
 def _center2m(lift: list[Vec]) -> Vec:
@@ -271,40 +273,6 @@ def _parallel_edge_position(patch: Patch, cell: Cell, k: int) -> int:
     return hits[0]
 
 
-def _centers_difference(
-    patch: Patch, start_cell: Cell, start_pos: int, chain: list[tuple[Cell, int]]
-) -> Vec:
-    """Difference of lifted centres between the last and first cell of
-    a chain, where each chain entry (cell, boundary position) shares
-    its edge with the previous entry and the lifts are glued along the
-    shared edges."""
-    lift = patch.cell_lift(start_cell)
-    c0 = _center2m(lift)
-    n0 = 2 * start_cell.m
-    prev_cell, prev_pos, prev_lift = start_cell, start_pos, lift
-    for cell, pos in chain:
-        shared = prev_cell.edges[prev_pos]
-        k = _position_in_cell(cell, shared)
-        # glue: boundary vertex k of `cell` is one endpoint of `shared`
-        u_prev = prev_cell.vertices[prev_pos]
-        anchor = (
-            prev_lift[prev_pos]
-            if cell.vertices[k] == u_prev
-            else prev_lift[(prev_pos + 1) % (2 * prev_cell.m)]
-        )
-        lift = patch.cell_lift(cell)
-        sx, sy = anchor[0] - lift[k][0], anchor[1] - lift[k][1]
-        prev_lift = [(x + sx, y + sy) for x, y in lift]
-        prev_cell, prev_pos = cell, pos
-    c1 = _center2m(prev_lift)
-    if n0 != 2 * prev_cell.m:
-        raise AssertionError("chain must start and end on cells of equal size")
-    dx, dy = c1[0] - c0[0], c1[1] - c0[1]
-    if dx % n0 or dy % n0:
-        raise AssertionError("cell centres do not differ by a lattice vector")
-    return (dx // n0, dy // n0)
-
-
 def e_translation(patch: Patch, e_class: Vec) -> Vec:
     """The translation mapping a maximal cell containing an e-edge to
     its partner in the type's defining configuration.  Computed once per
@@ -322,60 +290,34 @@ def e_translation(patch: Patch, e_class: Vec) -> Vec:
 
 
 def _e_translation(patch: Patch, e_class: Vec) -> Vec:
-    tt = patch.triangle_type
+    """The strip walk of the module docstring, from the first maximal
+    cell sigma on the first e-class edge.  Crossings are reversible and
+    every cell edge has one parallel edge in its cell, so the walk ends
+    on a maximal cell, sigma itself at the latest."""
     edge = next(e for e in patch.edges if e.direction_class == e_class)
-    cells = [patch.cells[ci] for ci in patch.edge_cells[edge.index]]
     mm = patch.maximal_m()
-    maximal = [c for c in cells if c.m == mm]
-    if tt == TriangleType.E333 or len(maximal) == 2:
-        # both neighbours are maximal: rho maps one directly to the other
-        sigma, sigma2 = cells
-        k = _position_in_cell(sigma, edge.index)
-        k2 = _position_in_cell(sigma2, edge.index)
-        return _centers_difference(patch, sigma, k, [(sigma2, k2)])
-    if not maximal:
+    cells = [patch.cells[ci] for ci in patch.edge_cells[edge.index]]
+    sigma = next((c for c in cells if c.m == mm), None)
+    if sigma is None:
         raise RigidityError(f"class {e_class} has no edge on a maximal cell")
-    sigma = maximal[0]
-    mediator = next(c for c in cells if c.index != sigma.index)
-    if mediator.m == 2:
-        # square with two parallel edges in maximal cells sigma, sigma'
-        k_sq = _position_in_cell(mediator, edge.index)
-        opp = (k_sq + 2) % 4
-        sigma2 = _other_cell(patch, mediator.edges[opp], mediator)
-        if sigma2.m != mm:
-            raise RigidityError("opposite square edge is not on a maximal cell")
-        k = _position_in_cell(sigma, edge.index)
-        k2 = _position_in_cell(sigma2, mediator.edges[opp])
-        return _centers_difference(
-            patch, sigma, k, [(mediator, opp), (sigma2, k2)]
-        )
-    # E236 second configuration: four parallel edges e, e', e'', e''' with
-    # e,e' in a hexagon, e',e'' in a square, e'',e''' in another hexagon,
-    # and 12-gons containing e and e'''.
-    phi = mediator
-    k_phi = _position_in_cell(phi, edge.index)
-    k_e1 = _parallel_edge_position(patch, phi, k_phi)
-    square = _other_cell(patch, phi.edges[k_e1], phi)
-    if square.m != 2:
-        raise RigidityError("parallel hexagon edge is not on a square")
-    k_sq = _position_in_cell(square, phi.edges[k_e1])
-    k_e2 = (k_sq + 2) % 4
-    phi2 = _other_cell(patch, square.edges[k_e2], square)
-    if phi2.m != 3:
-        raise RigidityError("opposite square edge is not on a hexagon")
-    k_p2 = _position_in_cell(phi2, square.edges[k_e2])
-    k_e3 = _parallel_edge_position(patch, phi2, k_p2)
-    sigma2 = _other_cell(patch, phi2.edges[k_e3], phi2)
-    if sigma2.m != mm:
-        raise RigidityError("chain did not end on a maximal cell")
-    k = _position_in_cell(sigma, edge.index)
-    k2 = _position_in_cell(sigma2, phi2.edges[k_e3])
-    return _centers_difference(
-        patch,
-        sigma,
-        k,
-        [(phi, k_e1), (square, k_e2), (phi2, k_e3), (sigma2, k2)],
-    )
+    cell, pos = sigma, sigma.edges.index(edge.index)
+    lift = patch.cell_lift(sigma)
+    start = _center2m(lift)
+    while True:
+        nxt, k = _across(patch, cell, pos)
+        # glue: boundary vertex k of nxt is one end of the crossed edge
+        anchor = lift[pos] if nxt.vertices[k] == cell.vertices[pos] else lift[(pos + 1) % len(lift)]
+        lift = patch.cell_lift(nxt)
+        sx, sy = anchor[0] - lift[k][0], anchor[1] - lift[k][1]
+        lift = [(x + sx, y + sy) for x, y in lift]
+        if nxt.m == mm:
+            break
+        cell, pos = nxt, _parallel_edge_position(patch, nxt, k)
+    end = _center2m(lift)
+    dx, dy = end[0] - start[0], end[1] - start[1]
+    if dx % (2 * mm) or dy % (2 * mm):
+        raise AssertionError("cell centres do not differ by a lattice vector")
+    return (dx // (2 * mm), dy // (2 * mm))
 
 
 def preserves(patch: Patch, l: Polarisation, rho: Vec) -> bool:
@@ -475,39 +417,26 @@ def case0_instances(patch: Patch, l: Polarisation) -> list[tuple[int, int, int]]
         if square.m != 2:
             continue
         for q in range(4):
-            edge = patch.edges[square.edges[q]]
-            tau = _other_cell(patch, edge.index, square)
-            if tau.m != mm:
+            tau, _ = _across(patch, square, q)
+            sigma, j = _across(patch, square, (q + 2) % 4)
+            if tau.m != mm or sigma.m != mm:
                 continue
-            opp_edge = square.edges[(q + 2) % 4]
-            sigma = _other_cell(patch, opp_edge, square)
-            if sigma.m != mm:
-                continue
-            for v0, v1, u1, u0 in (
-                (
-                    square.vertices[q],
-                    square.vertices[(q + 1) % 4],
-                    square.vertices[(q + 2) % 4],
-                    square.vertices[(q + 3) % 4],
-                ),
-                (
-                    square.vertices[(q + 1) % 4],
-                    square.vertices[q],
-                    square.vertices[(q + 3) % 4],
-                    square.vertices[(q + 2) % 4],
-                ),
+            # the square read as v0 v1 u1 u0, in either direction along edge q
+            for v1, u0 in (
+                (square.vertices[(q + 1) % 4], square.vertices[(q + 3) % 4]),
+                (square.vertices[q], square.vertices[(q + 2) % 4]),
             ):
                 if v1 not in diagonal_vertices(tau, l[tau.index]):
                     continue
-                j = _position_in_cell(sigma, opp_edge)
-                if sigma.vertices[j] == u0 and sigma.vertices[(j + 1) % 12] == u1:
-                    pos = lambda i: (j + i) % 12
-                elif sigma.vertices[j] == u1 and sigma.vertices[(j + 1) % 12] == u0:
-                    pos = lambda i: (j + 1 - i) % 12
+                # sigma's labelling u0 u1 ... u11 starts at u0 on the shared edge
+                if sigma.vertices[j] == u0:
+                    start, step = j, 1
+                elif sigma.vertices[(j + 1) % 12] == u0:
+                    start, step = j + 1, -1
                 else:
                     raise AssertionError("square and 12-gon disagree on the shared edge")
                 d = l[sigma.index]
-                if {d, d + 6} == {pos(4), pos(10)}:
+                if {d, d + 6} == {(start + 4 * step) % 12, (start + 10 * step) % 12}:
                     out.append((square.index, tau.index, sigma.index))
     return out
 

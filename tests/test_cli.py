@@ -54,6 +54,17 @@ def test_normalize_errors(run_cli, pres_files):
     assert code == 1
 
 
+def test_normalize_refuses_a_form_too_long_to_print(run_cli, tmp_path):
+    # s^-1 t at m = 10^9 is Delta^-1 times factors of 10^9 letters in all
+    pres = tmp_path / "huge.json"
+    pres.write_text(ArtinPresentation(("s", "t"), {("s", "t"): 10**9}).to_json())
+    t0 = time.perf_counter()
+    code, out, err = run_cli("normalize", "--presentation", str(pres), "s-1 t1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"more than {MAX_CERT_LETTERS}" in err
+
+
 def test_usage_errors(run_cli):
     assert run_cli()[0] == 1
     assert run_cli("bogus")[0] == 1
