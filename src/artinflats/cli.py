@@ -430,7 +430,7 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_exponents(case: str, text: str):
+def _parse_exponents(text: str):
     out = []
     try:
         for factor in text.split(";"):
@@ -448,17 +448,18 @@ def _parse_exponents(case: str, text: str):
 
 def cmd_families(args) -> int:
     budget = Budget(max_states=args.max_states, max_len=args.max_len)
-    if args.case == "a":
-        if not (args.presentation and args.left and args.right):
-            raise UsageError("case a needs --presentation, --left and --right")
-        pres = _load_presentation(args.presentation)
-        words = {"presentation": pres, "left": _parse_word(args.left, pres), "right": _parse_word(args.right, pres)}
-        exps, payload = None, {"case": "a"}
-    else:
-        if not args.exponents:
-            raise UsageError(f"case {args.case} needs --exponents")
-        exps, words = _parse_exponents(args.case, args.exponents), {}
-        payload = {"case": args.case, "exponents": [list(e) if isinstance(e, tuple) else e for e in exps]}
+    # Every given option goes to `family`, which refuses those the case
+    # does not take.
+    pres = _load_presentation(args.presentation) if args.presentation else None
+    words = {
+        "presentation": pres,
+        "left": _parse_word(args.left, pres) if args.left else None,
+        "right": _parse_word(args.right, pres) if args.right else None,
+    }
+    exps = _parse_exponents(args.exponents) if args.exponents else None
+    payload = {"case": args.case}
+    if exps is not None:
+        payload["exponents"] = [list(e) if isinstance(e, tuple) else e for e in exps]
     try:
         w1, w2 = family(args.case, exps, **words)
     except ValueError as exc:

@@ -15,14 +15,17 @@ are merged into one (generator, exponent) pair with a nonzero exponent.
 This canonical form makes free reduction idempotent and cyclic rotation
 well defined at the syllable level.
 
-Word templates describe languages such as (t^k s t r)*, with star
-meaning one or more repetitions.  Adjacent parts must use different
-generators, so every member is reduced as written and membership is
-decided exactly.
+A `LanguageTemplate` is the language of a flat family's second
+generators: one or more factors g1^k1 tail1 g2^k2 tail2 ..., such as
+(t^k s t r)+.  A power never meets a neighbouring tail on its generator,
+so every member is reduced as written; the template builds a member from
+its exponents, lists members up to a bound, and reads the exponents back
+off a word.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,134 +287,80 @@ class Word:
 
 
 class LanguageTemplate:
-    """Expression tree over fixed words and single-generator powers.
+    """The star-of-factors language (g1^k1 tail1 g2^k2 tail2 ...)+ of a
+    flat family's second generators.
 
-    Atoms are Fixed(word), a nonempty reduced word, and
-    PowerAtom(generator), which stands for g^k with k an arbitrary
-    nonzero integer.  Composite nodes are Concat(parts...) and
-    Star(part), with star meaning one or more repetitions.
+    The shape is a nonempty sequence of (power generator, fixed tail)
+    pairs.  One factor is g1^k1 tail1 g2^k2 tail2 ... with every k a
+    nonzero integer, and a member is one or more factors in a row.
 
-    Adjacent parts must use different generators where they meet, also
-    between two repetitions of a star; construction raises ValueError
-    otherwise.  Every member is then syllable-reduced exactly as
-    written, so `matches` decides membership exactly, with no bound.
+    A power may not meet its own tail, nor the tail before it (the last
+    tail for the first power, across the join of two factors), on its
+    generator; construction raises ValueError otherwise.  Every member is
+    then syllable-reduced as written and each factor has the same number
+    of syllables, so `exponents` reads a word in one linear scan with no
+    bound on exponents or factors.
     """
 
-    first: str  # generator of the first syllable of every member
-    last: str  # generator of the last syllable of every member
+    def __init__(self, shape: Sequence[tuple[str, Word | str]]):
+        parts = tuple(
+            (g, Word.parse(tail) if isinstance(tail, str) else tail) for g, tail in shape
+        )
+        if not parts or not all(tail for _, tail in parts):
+            raise ValueError("a template needs one or more (power, nonempty tail) pairs")
+        for (_, before), (g, tail) in zip(parts[-1:] + parts[:-1], parts):
+            if g in (tail.syllables[0].generator, before.syllables[-1].generator):
+                raise ValueError(f"power {g!r} meets a neighbouring tail on its generator")
+        self.shape = parts
+        self._width = sum(1 + len(tail) for _, tail in parts)
 
-    def enumerate(self, exponent_bound: int, star_bound: int) -> set[Word]:
-        """All member words with power exponents in [-b, b] minus {0}
-        and star repetition counts in [1, star_bound]."""
-        return {reduce(seq) for seq in self._sequences(exponent_bound, star_bound)}
+    def word(self, factors: Sequence[Sequence[int]]) -> Word:
+        """The member with these per-factor exponent tuples."""
+        if not factors:
+            raise ValueError("a member needs at least one factor")
+        syls: list[Syllable] = []
+        for exps in factors:
+            if len(exps) != len(self.shape):
+                raise ValueError(
+                    f"each factor takes {len(self.shape)} exponent(s), got {tuple(exps)!r}"
+                )
+            for (g, tail), k in zip(self.shape, exps):
+                if not isinstance(k, int) or k == 0:
+                    raise ValueError(f"factor exponents must be nonzero integers, got {k!r}")
+                syls.append(Syllable(g, k))
+                syls.extend(tail.syllables)
+        return Word(syls)
 
-    def _sequences(self, eb: int, sb: int) -> Iterator[tuple[tuple[str, int], ...]]:
-        raise NotImplementedError
+    def members(self, factors: int, bound: int) -> Iterator[Word]:
+        """Members with `factors` factors and every exponent in
+        +-1..+-bound, each exponent running 1, -1, 2, -2, ... and the
+        last one varying fastest."""
+        exps = [e for k in range(1, bound + 1) for e in (k, -k)]
+        per_factor = list(itertools.product(exps, repeat=len(self.shape)))
+        for combo in itertools.product(per_factor, repeat=factors):
+            yield self.word(combo)
 
-    def _ends(self, syls: tuple[Syllable, ...], i: int) -> set[int]:
-        """Positions j such that syls[i:j] is a member."""
-        raise NotImplementedError
+    def exponents(self, word: Word) -> tuple[tuple[int, ...], ...] | None:
+        """The per-factor exponent tuples of a member, or None for a
+        word outside the language (syllable-exact, no group relations)."""
+        syls = word.syllables
+        if not syls or len(syls) % self._width:
+            return None
+        out = []
+        i = 0
+        while i < len(syls):
+            exps = []
+            for g, tail in self.shape:
+                if syls[i].generator != g:
+                    return None
+                exps.append(syls[i].exponent)
+                i += 1
+                if syls[i : i + len(tail)] != tail.syllables:
+                    return None
+                i += len(tail)
+            out.append(tuple(exps))
+        return tuple(out)
 
     def matches(self, word: Word) -> bool:
         """Membership test (syllable-exact, no group relations applied)."""
-        return len(word) in self._ends(word.syllables, 0)
-
-
-def _check_separated(left: LanguageTemplate, right: LanguageTemplate) -> None:
-    if left.last == right.first:
-        raise ValueError(f"{left!r} and {right!r} meet on generator {left.last!r}")
-
-
-class Fixed(LanguageTemplate):
-    def __init__(self, word: Word | str):
-        self.word = Word.parse(word) if isinstance(word, str) else word
-        if not self.word:
-            raise ValueError("a fixed template word must be nonempty")
-        self.first = self.word.syllables[0].generator
-        self.last = self.word.syllables[-1].generator
-
-    def _sequences(self, eb, sb):
-        yield tuple((s.generator, s.exponent) for s in self.word.syllables)
-
-    def _ends(self, syls, i):
-        j = i + len(self.word)
-        return {j} if syls[i:j] == self.word.syllables else set()
-
-    def __repr__(self):
-        return f"Fixed({str(self.word)!r})"
-
-
-class PowerAtom(LanguageTemplate):
-    def __init__(self, generator: str):
-        self.generator = self.first = self.last = generator
-
-    def _sequences(self, eb, sb):
-        for e in range(-eb, eb + 1):
-            if e != 0:
-                yield ((self.generator, e),)
-
-    def _ends(self, syls, i):
-        return {i + 1} if i < len(syls) and syls[i].generator == self.generator else set()
-
-    def __repr__(self):
-        return f"PowerAtom({self.generator!r})"
-
-
-class Concat(LanguageTemplate):
-    def __init__(self, *parts: LanguageTemplate):
-        if not parts:
-            raise ValueError("Concat needs at least one part")
-        for left, right in zip(parts, parts[1:]):
-            _check_separated(left, right)
-        self.parts = parts
-        self.first, self.last = parts[0].first, parts[-1].last
-
-    def _sequences(self, eb, sb):
-        def rec(i: int) -> Iterator[tuple]:
-            if i == len(self.parts):
-                yield ()
-                return
-            for head in self.parts[i]._sequences(eb, sb):
-                for tail in rec(i + 1):
-                    yield head + tail
-
-        return rec(0)
-
-    def _ends(self, syls, i):
-        ends = {i}
-        for part in self.parts:
-            ends = {k for j in ends for k in part._ends(syls, j)}
-        return ends
-
-    def __repr__(self):
-        return f"Concat({', '.join(map(repr, self.parts))})"
-
-
-class Star(LanguageTemplate):
-    def __init__(self, part: LanguageTemplate):
-        _check_separated(part, part)
-        self.part = part
-        self.first, self.last = part.first, part.last
-
-    def _sequences(self, eb, sb):
-        def rec(reps: int) -> Iterator[tuple]:
-            if reps == 0:
-                yield ()
-                return
-            for head in self.part._sequences(eb, sb):
-                for tail in rec(reps - 1):
-                    yield head + tail
-
-        for reps in range(1, sb + 1):
-            yield from rec(reps)
-
-    def _ends(self, syls, i):
-        ends: set[int] = set()
-        frontier = self.part._ends(syls, i)
-        while frontier:
-            ends |= frontier
-            frontier = {k for j in frontier for k in self.part._ends(syls, j)} - ends
-        return ends
-
-    def __repr__(self):
-        return f"Star({self.part!r})"
+        return self.exponents(word) is not None

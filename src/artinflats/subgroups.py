@@ -20,20 +20,10 @@ shape, up to the symmetries of the exponent matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from artinflats.presentation import (
-    ArtinPresentation,
-    Concat,
-    Fixed,
-    LanguageTemplate,
-    PowerAtom,
-    Star,
-    Word,
-    reduce,
-)
+from artinflats.presentation import ArtinPresentation, LanguageTemplate, Word
 from artinflats.prover import (
     DEFAULT_BUDGET,
     Budget,
@@ -98,9 +88,9 @@ _FIRST_WORD = {
     "f": "t1 s1 t1 s1 t1 r1",
 }
 
-# Factor shape of the second generator: (bullet generator, fixed tail)
-# pairs concatenated in order.  A factor instance substitutes a nonzero
-# exponent for each bullet.
+# Factor shape of the second generator: (power generator, fixed tail)
+# pairs concatenated in order.  A factor substitutes a nonzero exponent
+# for each power.
 _FACTOR_SHAPE = {
     "b": (("t", "s1 t1 r1"),),
     "c": (("r", "t-1"), ("s", "t1")),
@@ -121,13 +111,12 @@ class FlatFamily:
 
 def _build_family(case: str) -> FlatFamily:
     tt = _CASE_TYPE[case]
-    factor = Concat(
-        *itertools.chain.from_iterable(
-            (PowerAtom(g), Fixed(tail)) for g, tail in _FACTOR_SHAPE[case]
-        )
-    )
     return FlatFamily(
-        case, tt, presentation_for(tt), Word.parse(_FIRST_WORD[case]), Star(factor)
+        case,
+        tt,
+        presentation_for(tt),
+        Word.parse(_FIRST_WORD[case]),
+        LanguageTemplate(_FACTOR_SHAPE[case]),
     )
 
 
@@ -142,20 +131,10 @@ def flat_family(case: str) -> FlatFamily:
     return _FAMILIES[case]
 
 
-def _factor_word(case: str, param) -> Word:
-    shape = _FACTOR_SHAPE[case]
-    exps = param if isinstance(param, (tuple, list)) else (param,)
-    if len(exps) != len(shape):
-        raise ValueError(
-            f"case {case!r} factors take {len(shape)} exponent(s), got {param!r}"
-        )
-    syls: list[tuple[str, int]] = []
-    for (g, tail), k in zip(shape, exps):
-        if not isinstance(k, int) or k == 0:
-            raise ValueError(f"factor exponents must be nonzero integers, got {k!r}")
-        syls.append((g, k))
-        syls.extend((s.generator, s.exponent) for s in Word.parse(tail).syllables)
-    return reduce(syls)
+def _factor_tuples(exponents: Sequence | None) -> list[tuple]:
+    """`family`'s exponents as per-factor tuples; a bare int is a
+    one-power factor."""
+    return [tuple(e) if isinstance(e, (tuple, list)) else (e,) for e in exponents or ()]
 
 
 def abelianization_independent(w1: Word, w2: Word, generators: Sequence[str]) -> bool:
@@ -180,7 +159,7 @@ def family(
     """Concrete generator pair for a flat family.
 
     Cases b-f take `exponents`: one entry per star factor, an int for
-    the single-bullet cases and a (k, l) pair for case c.  Case a takes
+    the one-power cases and a (k, l) pair for case c.  Case a takes
     a presentation and the two words directly; the generator sets must
     be disjoint with pairwise exponent 2 across them.
 
@@ -210,13 +189,9 @@ def family(
     else:
         if presentation is not None or left is not None or right is not None:
             raise ValueError(f"case {case!r} is parametrised by exponents only")
-        if not exponents:
-            raise ValueError("need at least one star factor")
         fam = flat_family(case)
         w1 = fam.w1
-        w2 = Word()
-        for param in exponents:
-            w2 = w2 * _factor_word(case, param)
+        w2 = fam.template.word(_factor_tuples(exponents))
         gens = fam.presentation.generators
     if not abelianization_independent(w1, w2, gens):
         raise ValueError(
@@ -249,7 +224,7 @@ def verify_abelian(
             raise SearchBudgetError(f"no commutator certificate for {w1} vs {w2}")
         return cert
     fam = flat_family(case)
-    factors = [_factor_word(case, param) for param in exponents]
+    factors = [fam.template.word([f]) for f in _factor_tuples(exponents)]
     certs = []
     for f in factors:
         c = prove_conjugation(fam.presentation, w1, f, budget)
@@ -345,19 +320,6 @@ def _is_lattice_translation(patch: Patch, v0: int, vend: int, delta: Vec) -> boo
         return False
 
 
-def _factor_instances(case: str, factors: int, bound: int):
-    """Second-generator instances with the given number of star factors
-    and bullet exponents bounded by `bound`, in deterministic order."""
-    exps = [e for k in range(1, bound + 1) for e in (k, -k)]
-    shape = _FACTOR_SHAPE[case]
-    per_factor = list(itertools.product(exps, repeat=len(shape)))
-    for combo in itertools.product(per_factor, repeat=factors):
-        w = Word()
-        for param in combo:
-            w = w * _factor_word(case, param if len(param) > 1 else param[0])
-        yield w
-
-
 def _find_transverse(
     patch: Patch,
     d: DirectionAssignment,
@@ -367,8 +329,9 @@ def _find_transverse(
     delta1: Vec,
     bound: int,
 ) -> Word | None:
+    template = flat_family(case).template
     for factors in (1, 2, 3):
-        for instance in _factor_instances(case, factors, bound):
+        for instance in template.members(factors, bound):
             w = instance.substitute(sym)
             for cand in (w, w.inverse()):
                 res = _walk_word(patch, d, v0, cand)

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from artinflats.presentation import ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word, reduce
 from artinflats import dihedral
 
 Vec = tuple[int, int]
@@ -601,14 +601,8 @@ class ValidationReport:
 
 
 def boundary_word(patch: Patch, cell: Cell, d: DirectionAssignment) -> Word:
-    letters = []
-    n = len(cell.edges)
-    for k in range(n):
-        e = patch.edges[cell.edges[k]]
-        de = d[e.index]
-        sign = 1 if de.source == cell.vertices[k] else -1
-        letters.extend([(e.gen, sign)] * de.label)
-    return Word.from_letters(letters)
+    gens = (patch.edges[ei].gen for ei in cell.edges)
+    return reduce(zip(gens, _cell_signature(patch, cell, d)))
 
 
 @lru_cache(maxsize=None)

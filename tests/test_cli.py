@@ -282,7 +282,7 @@ def test_budget_args_reject_values_below_one(run_cli, pres_files):
     assert run_cli("families", "--case", "b", "--exponents", "1", "--max-states", "0")[0] == 1
 
 
-def test_families(run_cli):
+def test_families(run_cli, pres_files, tmp_path):
     code, out, _ = run_cli("families", "--case", "b", "--exponents", "1", "--verify")
     assert code == 0
     data = json.loads(out)
@@ -294,6 +294,16 @@ def test_families(run_cli):
     assert run_cli("families", "--case", "b", "--exponents", "1;-1")[0] == 1
     assert run_cli("families", "--case", "c", "--exponents", "0,1")[0] == 1
     assert run_cli("families", "--case", "b")[0] == 1
+    # options the case does not take are refused, not ignored
+    assert run_cli("families", "--case", "b", "--exponents", "1", "--presentation", pres_files["m3"])[0] == 1
+    assert run_cli("families", "--case", "b", "--exponents", "1", "--left", "s1")[0] == 1
+    m2 = tmp_path / "m2.json"
+    m2.write_text(ArtinPresentation(("s", "t"), {("s", "t"): 2}).to_json())
+    split = ("families", "--case", "a", "--presentation", str(m2), "--left", "s1", "--right", "t2")
+    code, out, _ = run_cli(*split)
+    assert code == 0 and json.loads(out) == {"case": "a", "w1": "s1", "w2": "t2"}
+    assert run_cli(*split, "--exponents", "1")[0] == 1
+    assert run_cli("families", "--case", "a", "--presentation", str(m2), "--left", "s1")[0] == 1
 
 
 def test_families_budget_exit(run_cli):
@@ -394,11 +404,11 @@ def test_closed_stdout_is_a_usage_error_not_a_traceback():
 # seeded field mutations of every JSON input
 # ---------------------------------------------------------------------------
 
-# Values a mutant puts in place of a field.  Exponents stay at most 10,000:
-# `normalize` on an m = 10^9 presentation is still linear in m per inverse
-# letter (ROADMAP item 3), so that value is a named replay mutant only.
+# Values a mutant puts in place of a field.  10**9 as an exponent must end
+# as quickly as a small one: `normalize` pushes each inverse letter in time
+# independent of m.
 FUZZ_VALUES = (
-    None, True, False, 0, 1, -1, 2, 3, 7, 0.7, -2.5, 10_000, "", "0", "1", "s1", "x",
+    None, True, False, 0, 1, -1, 2, 3, 7, 0.7, -2.5, 10_000, 10**9, "", "0", "1", "s1", "x",
     "s1 t1 s1", "t-1 s1", "s", [], {}, [1], ["s", 1], ["s", "t", 3], [0, 1], {"s": 1},
 )
 

@@ -1,4 +1,4 @@
-"""Words, presentations, and the one-variable word templates."""
+"""Words, presentations, and the star-of-factors word templates."""
 
 import random
 
@@ -7,10 +7,7 @@ import pytest
 from artinflats.presentation import (
     INFINITY,
     ArtinPresentation,
-    Concat,
-    Fixed,
-    PowerAtom,
-    Star,
+    LanguageTemplate,
     Word,
     reduce,
 )
@@ -141,73 +138,89 @@ def test_json_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-def test_fixed_template():
-    t = Fixed(Word.parse("s1 t1"))
-    assert t.matches(Word.parse("s1 t1"))
-    assert not t.matches(Word.parse("s1 t2"))
-    assert list(t.enumerate(2, 2)) == [Word.parse("s1 t1")]
-
-
-def test_power_atom():
-    t = PowerAtom("t")
-    assert t.matches(Word.parse("t-3"))
-    assert not t.matches(Word.parse("s1"))
-    assert not t.matches(Word.parse(""))
-    got = {str(w) for w in t.enumerate(2, 1)}
-    assert got == {"t1", "t-1", "t2", "t-2"}
+CASE_B = LanguageTemplate((("t", "s1 t1 r1"),))
 
 
 def test_concat_respects_syllable_boundaries():
     # t^k . s t r : the k-power and the fixed tail stay separate syllables
-    t = Concat(PowerAtom("t"), Fixed(Word.parse("s1 t1 r1")))
-    assert t.matches(Word.parse("t2 s1 t1 r1"))
-    assert t.matches(Word.parse("t-1 s1 t1 r1"))
-    assert not t.matches(Word.parse("s1 t1 r1"))
+    assert CASE_B.matches(Word.parse("t2 s1 t1 r1"))
+    assert CASE_B.matches(Word.parse("t-1 s1 t1 r1"))
+    assert not CASE_B.matches(Word.parse("s1 t1 r1"))
+    assert CASE_B.exponents(Word.parse("t2 s1 t1 r1")) == ((2,),)
+    assert str(CASE_B.word([(-3,)])) == "t-3 s1 t1 r1"
 
 
 def test_star_repeats():
-    t = Star(Concat(PowerAtom("t"), Fixed(Word.parse("s1 t1 r1"))))
     one = Word.parse("t1 s1 t1 r1")
     two = Word.parse("t1 s1 t1 r1 t-2 s1 t1 r1")
-    assert t.matches(one)
-    assert t.matches(two)
-    assert not t.matches(Word.parse("t1 s1 t1"))
-    # at least one repetition is required
-    assert not t.matches(Word.parse(""))
+    assert CASE_B.matches(one)
+    assert CASE_B.matches(two)
+    assert CASE_B.exponents(two) == ((1,), (-2,))
+    assert not CASE_B.matches(Word.parse("t1 s1 t1"))
+    # at least one factor is required
+    assert not CASE_B.matches(Word.parse(""))
+    with pytest.raises(ValueError):
+        CASE_B.word([])
 
 
 def test_star_enumerate_agrees_with_matches():
-    t = Star(Concat(PowerAtom("t"), Fixed(Word.parse("s1 r1"))))
-    words = list(t.enumerate(1, 2))
+    t = LanguageTemplate((("t", "s1 r1"),))
+    words = [w for n in (1, 2) for w in t.members(n, 1)]
     assert len(words) == len(set(map(str, words)))
     for w in words:
         assert t.matches(w)
-    # a one-rep and a two-rep instance both appear
+    # a one-factor and a two-factor member both appear
     lens = {len(w.syllables) for w in words}
     assert lens == {3, 6}
 
 
+def test_members_order():
+    # exponents run 1, -1, 2, -2, ... with the last one varying fastest
+    assert [str(w) for w in CASE_B.members(1, 2)] == [
+        "t1 s1 t1 r1", "t-1 s1 t1 r1", "t2 s1 t1 r1", "t-2 s1 t1 r1",
+    ]
+    case_c = LanguageTemplate((("r", "t-1"), ("s", "t1")))
+    assert [w.syllables[0].exponent for w in case_c.members(1, 1)] == [1, 1, -1, -1]
+    assert [CASE_B.exponents(w) for w in CASE_B.members(2, 1)] == [
+        ((1,), (1,)), ((1,), (-1,)), ((-1,), (1,)), ((-1,), (-1,)),
+    ]
+
+
 def test_star_matches_beyond_any_enumeration_bound():
-    t = Star(Concat(PowerAtom("t"), Fixed(Word.parse("s1 t1 r1"))))
     factors = ["t1 s1 t1 r1", "t-2 s1 t1 r1", "t2 s1 t1 r1"]
     for n in (5, 6, 9):
         w = Word.parse(" ".join(factors[i % 3] for i in range(n)))
-        assert t.matches(w)
-        assert not t.matches(Word.parse(str(w) + " t1"))
-        assert not t.matches(Word.parse(str(w) + " t1 s1"))
-    assert t.matches(Word.parse("t7 s1 t1 r1 t-9 s1 t1 r1"))
+        assert CASE_B.matches(w)
+        assert not CASE_B.matches(Word.parse(str(w) + " t1"))
+        assert not CASE_B.matches(Word.parse(str(w) + " t1 s1"))
+    assert CASE_B.matches(Word.parse("t7 s1 t1 r1 t-9 s1 t1 r1"))
+
+
+def test_word_exponents_round_trip():
+    from artinflats.subgroups import flat_family
+
+    rng = random.Random(77)
+    for case in "bcdef":
+        t = flat_family(case).template
+        for n in range(1, 7):
+            for _ in range(10):
+                e = tuple(
+                    tuple(rng.choice((-1, 1)) * rng.randint(1, 50) for _ in t.shape)
+                    for _ in range(n)
+                )
+                assert t.exponents(t.word(e)) == e, (case, e)
 
 
 def test_matches_agrees_with_enumeration_on_mutations():
-    # every enumerated member matches, and on one-syllable mutations
+    # every listed member matches, and on one-syllable mutations
     # (exponent moved by +-1 within [-2, 2], or last syllable dropped)
-    # `matches` agrees with membership in the same enumeration
+    # `matches` agrees with membership in the same list
     from artinflats.subgroups import flat_family
 
     rng = random.Random(404)
     for case in "bcdef":
         t = flat_family(case).template
-        members = t.enumerate(2, 2)
+        members = {w for n in (1, 2) for w in t.members(n, 2)}
         assert all(t.matches(w) for w in members)
         for w in rng.sample(sorted(members, key=str), min(40, len(members))):
             syls = list(w.syllables)
@@ -222,15 +235,14 @@ def test_matches_agrees_with_enumeration_on_mutations():
 
 def test_templates_whose_parts_merge_are_rejected():
     bad = (
-        lambda: Concat(PowerAtom("t"), Fixed("t1 s1")),
-        lambda: Concat(Fixed("s1 t1"), PowerAtom("t")),
-        lambda: Concat(PowerAtom("s"), PowerAtom("s")),
-        lambda: Star(Fixed("s1 t1 s1")),
-        lambda: Star(PowerAtom("t")),
-        lambda: Star(Concat(PowerAtom("t"), Fixed("s1 t1"))),
-        lambda: Fixed(""),
-        lambda: Concat(),
+        (("t", "t1 s1"),),  # power meets its own tail
+        (("t", "s1 t1"),),  # last tail meets the power of the next factor
+        (("t", "s1"), ("s", "r1")),  # first tail meets the second power
+        (("r", "t1"), ("s", "r1")),  # second tail wraps into the first power
+        (("t", ""),),
+        (("t", "s1"), ("r", "")),
+        (),
     )
-    for make in bad:
+    for shape in bad:
         with pytest.raises(ValueError):
-            make()
+            LanguageTemplate(shape)
