@@ -5,7 +5,8 @@ Exit codes follow a fixed contract so sweeps can run under CI:
 
     0   success
     1   usage error (bad arguments, unparsable words, words too long to
-        search, normal forms too long to print, bad input files, output
+        search, normal forms too long to print, lattices that build no
+        patch or one above tiling.MAX_PATCH_INDEX, bad input files, output
         that cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted

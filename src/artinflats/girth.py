@@ -16,12 +16,17 @@ tests drive it against the Garside normal form over full sweeps.
 For m = 2 the analogous family is x^k y^l x^{-k} y^{-l} (k, l nonzero),
 every cyclic rotation of which is again of that shape.
 
-`girth_sweep` meets in the middle (Horowitz and Sahni, 1974) on both
-sides.  Garside normal forms are unique, so a word p q is trivial
-exactly when NF(p) = NF(q^-1).  The sweep computes one normal form per
-left half p and one per inverted right half q, interns them to small
-ints, and reads the oracle-trivial words off equal ids: 2 (2b)^m normal
-forms instead of (2b)^(2m) for exponent bound b.  The classifier side
+`trivial_words` meets in the middle (Horowitz and Sahni, 1974).
+Garside normal forms are unique, so a word p q is trivial exactly when
+NF(p) = NF(q^-1).  It computes the normal form of every left half p and
+of every inverted right half q^-1, each as one `dihedral.multiply` onto
+the form of its longest proper prefix, so halves that share a prefix
+share its product; the trivial words are the pairs with equal forms:
+2 (2b)^m normal forms instead of (2b)^(2m) for exponent bound b.  The
+same table serves `girth_sweep` on the oracle side and the tiling layer,
+whose cell signatures are such words with exponents in {+-1, +-2}.
+
+`girth_sweep` also meets in the middle on the classifier side, which
 splits by rotation.  With m syllables in each half, p q matches the
 template at rotation r < m with power k exactly when
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from artinflats import dihedral
 from artinflats.presentation import ArtinPresentation, Word, reduce
@@ -172,6 +177,46 @@ def _alternating(exps: tuple[int, ...], start: int) -> Word:
     return reduce(("st"[(start + i) % 2], e) for i, e in enumerate(exps))
 
 
+def _half_forms(
+    pres: ArtinPresentation, exps: Sequence[int], start: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, tuple[dihedral.Simple, ...]]]]:
+    """(half, (power, factors) of its normal form) for every alternating
+    word of m syllables starting on "st"[start] with exponents in `exps`,
+    in the order of itertools.product.  Depth first along the shared
+    prefixes, one `dihedral.multiply` per prefix."""
+    m = pres.m("s", "t")
+    syllables = [[dihedral.normal_form(pres, reduce(((g, e),))) for e in exps] for g in "st"]
+
+    def grow(half: tuple[int, ...], nf: dihedral.NormalForm):
+        if len(half) == m:
+            yield half, (nf.power, nf.factors)
+            return
+        for e, form in zip(exps, syllables[(start + len(half)) % 2]):
+            yield from grow(half + (e,), dihedral.multiply(nf, form))
+
+    return grow((), dihedral.normal_form(pres, Word()))
+
+
+def trivial_words(m: int, exps: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """The exponent tuples of every trivial alternating word with 2m
+    syllables, starting on s, whose exponents lie in `exps`.
+
+    A word p q splits into halves of m syllables; q^-1 starts on t and
+    has its exponents in -exps.  Each half is reduced once along the
+    shared prefixes (`_half_forms`), and p q is trivial exactly when the
+    normal forms of p and q^-1 are equal.
+    """
+    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+    lefts: dict[tuple[int, tuple[dihedral.Simple, ...]], list[tuple[int, ...]]] = {}
+    for p, key in _half_forms(pres, exps, 0):
+        lefts.setdefault(key, []).append(p)
+    words = set()
+    for r, key in _half_forms(pres, [-e for e in exps], 1):
+        q = tuple(-e for e in reversed(r))
+        words.update(p + q for p in lefts.get(key, ()))
+    return frozenset(words)
+
+
 def _template_pairs(m: int, exps: list[int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The halves (p, q) that share a key: every word p q that can match
     the template, in the sweep over the exponents `exps`."""
@@ -197,8 +242,8 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
 
     Each word is split into a left half p of m syllables, starting on s,
     and a right half q, starting on s for even m and on t for odd m.  The
-    normal form of each distinct p and of each distinct q^-1 is computed
-    once; p q is trivial exactly when the two are equal.  The classifier
+    oracle-trivial words are `trivial_words`, which meets in the middle
+    on the Garside normal forms of p and q^-1.  The classifier
     runs on the candidate words that the half-word keys propose (see the
     module docstring); every other word is classifier-negative.  A word
     counts as a disagreement when exactly one side calls it trivial, and
@@ -216,24 +261,12 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
         raise ValueError(
             f"m={m} bound={bound} has {(2 * bound) ** m} half-words, more than {MAX_SWEEP_HALVES}"
         )
-    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
     exps = [e for k in range(1, bound + 1) for e in (k, -k)]
     halves = list(itertools.product(exps, repeat=m))
-    # keyed by (power, factors): every form here has the same generators and m
-    ids: dict[tuple[int, tuple[dihedral.Simple, ...]], int] = {}
-
-    def intern(word: Word) -> int:
-        nf = dihedral.normal_form(pres, word)
-        return ids.setdefault((nf.power, nf.factors), len(ids))
-
-    left_ids = [intern(_alternating(p, 0)) for p in halves]
-    rights: dict[int, list[int]] = {}
-    for j, q in enumerate(halves):
-        rights.setdefault(intern(_alternating(q, m & 1).inverse()), []).append(j)
-    trivial = {(i, j) for i, left in enumerate(left_ids) for j in rights.get(left, ())}
+    index = {h: i for i, h in enumerate(halves)}
+    trivial = {(index[w[:m]], index[w[m:]]) for w in trivial_words(m, exps)}
     # The exponent-only classifier core; truthy exactly on a template match.
     core = _is_commutator if m == 2 else functools.partial(match_exponents, m)
-    index = {h: i for i, h in enumerate(halves)}
     matched = {(index[p], index[q]) for p, q in _template_pairs(m, exps) if core(p + q)}
     disagree = trivial ^ matched
     first = None

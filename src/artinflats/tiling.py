@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import gcd
 
 from artinflats.presentation import ArtinPresentation, Word, reduce
-from artinflats import dihedral
+from artinflats import dihedral, girth
 
 Vec = tuple[int, int]
 # Affine map (a, b, c, d, tx, ty):  (x, y) -> (a x + b y + tx, c x + d y + ty)
@@ -227,7 +227,14 @@ def _minimal_type_preserving_multiple(tt: TriangleType, rho: Vec) -> Vec:
 
 class IncompatibleLatticeError(ValueError):
     """The quotient lattice is not made of type-preserving translations,
-    or is too small: an edge would join a vertex to itself."""
+    or is too small: an edge would join a vertex to itself, or too large:
+    its index exceeds MAX_PATCH_INDEX."""
+
+
+# The largest covering index (number of copies of the minimal patch) that
+# Patch builds: scale 32.  An E236 patch at the cap has 12,288 vertices
+# and builds in about half a second; an index of 10^10 would exhaust memory.
+MAX_PATCH_INDEX = 1024
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,11 @@ class Patch:
                 raise IncompatibleLatticeError(
                     f"incompatible lattice: {vec} is not a type-preserving translation"
                 )
+        index = self._covering_index()
+        if index > MAX_PATCH_INDEX:
+            raise IncompatibleLatticeError(
+                f"lattice index {index} exceeds MAX_PATCH_INDEX = {MAX_PATCH_INDEX}"
+            )
         self.positions: list[Vec] = []
         self.vertex_at: dict[Vec, int] = {}
         self.edges: list[Edge] = []
@@ -617,6 +629,13 @@ def _signed_boundary_trivial(m: int, exps: tuple[int, ...]) -> bool:
     return dihedral.is_trivial(pres, Word.from_letters(letters))
 
 
+@lru_cache(maxsize=None)
+def _cell_table(m: int) -> frozenset[tuple[int, ...]]:
+    """The trivial signatures of a 2m-cell whose labels all lie in
+    _DIRECTION_LABELS, from the girth layer's meet in the middle."""
+    return girth.trivial_words(m, [e for k in _DIRECTION_LABELS for e in (k, -k)])
+
+
 def _cell_signature(patch: Patch, cell: Cell, d: DirectionAssignment) -> tuple[int, ...]:
     sig = []
     for k, ei in enumerate(cell.edges):
@@ -629,8 +648,15 @@ def _cell_signature(patch: Patch, cell: Cell, d: DirectionAssignment) -> tuple[i
 def _cell_consistent(patch: Patch, cell: Cell, d: DirectionAssignment) -> bool:
     """Whether the cell passes the long-pairing and cell-word checks.
     The word check alone decides: by the girth lemma a trivial cell word
-    has its long labels on opposite edges."""
-    return _signed_boundary_trivial(cell.m, _cell_signature(patch, cell, d))
+    has its long labels on opposite edges.  Labels in _DIRECTION_LABELS
+    are looked up in the cell table; any other label is decided by the
+    normal form of the boundary word."""
+    sig = _cell_signature(patch, cell, d)
+    if sig in _cell_table(cell.m):
+        return True
+    if all(abs(e) in _DIRECTION_LABELS for e in sig):
+        return False
+    return _signed_boundary_trivial(cell.m, sig)
 
 
 def _cell_checks(patch: Patch, cell: Cell, d: DirectionAssignment) -> list[Violation]:
@@ -685,59 +711,59 @@ def standard_directions(patch: Patch) -> DirectionAssignment:
 
 
 def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
-    """All assignments passing the cell-word and long-pairing checks
-    (the single-direction check is left to the caller, so that both the
-    passing and the crossing-family assignments can be inspected).
-    Deterministic backtracking, cells completed as early as possible.
+    """All assignments with labels in _DIRECTION_LABELS passing the
+    cell-word and long-pairing checks (the single-direction check is left
+    to the caller, so that both the passing and the crossing-family
+    assignments can be inspected).
+
+    A join over cells.  Each row of a cell's table (`_cell_table`) fixes
+    the source and label of every edge of the cell; the partial
+    assignments grow one cell at a time, each keeping the rows that agree
+    with it on the edges already assigned.  The next cell is the one with
+    the most edges already assigned, the larger m first on a tie.  The
+    long-pairing check needs no step of its own: by the girth lemma a
+    trivial cell word pairs its long labels.
+
+    Deterministic: the edges are ordered cell by cell, smallest cells
+    first, and the assignments are sorted edge by edge in that order by
+    label, then by source (the smaller vertex index first).  Each dict
+    lists its edges in that order.
     """
-    cells_by_size = sorted(patch.cells, key=lambda c: (c.m, c.index))
-    edge_order: list[int] = []
-    seen: set[int] = set()
-    for cell in cells_by_size:
-        for ei in cell.edges:
-            if ei not in seen:
-                seen.add(ei)
-                edge_order.append(ei)
-    for e in patch.edges:
-        if e.index not in seen:
-            edge_order.append(e.index)
-    completes: dict[int, list[Cell]] = {ei: [] for ei in edge_order}
-    rank = {ei: k for k, ei in enumerate(edge_order)}
-    for cell in patch.cells:
-        last = max(cell.edges, key=lambda ei: rank[ei])
-        completes[last].append(cell)
-    # map edge -> [(opposite edge, owning cell)] for the early pairing cut
-    opposites: dict[int, list[int]] = {ei: [] for ei in edge_order}
-    for cell in patch.cells:
-        for k, ei in enumerate(cell.edges):
-            opposites[ei].append(cell.edges[patch.opposite_position(cell, k)])
-    results: list[DirectionAssignment] = []
-    assignment: DirectionAssignment = {}
-
-    def admissible_so_far(ei: int) -> bool:
-        label = assignment[ei].label
-        for opp in opposites[ei]:
-            if opp in assignment:
-                lo = assignment[opp].label
-                if lo != label and (lo >= 2 or label >= 2):
-                    return False
-        return all(_cell_consistent(patch, cell, assignment) for cell in completes[ei])
-
-    def backtrack(k: int) -> None:
-        if k == len(edge_order):
-            results.append(dict(assignment))
-            return
-        ei = edge_order[k]
-        e = patch.edges[ei]
-        for label in _DIRECTION_LABELS:
-            for source in (min(e.u, e.v), max(e.u, e.v)):
-                assignment[ei] = DirectedEdge(source, label)
-                if admissible_so_far(ei):
-                    backtrack(k + 1)
-        del assignment[ei]
-
-    backtrack(0)
-    return results
+    cells = sorted(patch.cells, key=lambda c: (c.m, c.index))
+    edge_order = list(dict.fromkeys(ei for cell in cells for ei in cell.edges))
+    # An edge's value, 2 (label index) + (source is the larger endpoint),
+    # indexes `values` and sorts as the order above.
+    values = [
+        [DirectedEdge(source, label) for label in _DIRECTION_LABELS for source in sorted((e.u, e.v))]
+        for e in patch.edges
+    ]
+    larger = [max(e.u, e.v) for e in patch.edges]
+    position: dict[int, int] = {}  # edge -> its place in a partial assignment
+    partials: list[tuple[int, ...]] = [()]
+    while cells:
+        cell = max(cells, key=lambda c: (len(set(c.edges) & position.keys()), c.m, -c.index))
+        cells.remove(cell)
+        edges = list(dict.fromkeys(cell.edges))
+        known = [ei for ei in edges if ei in position]
+        new = [ei for ei in edges if ei not in position]
+        rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for sig in _cell_table(cell.m):
+            row: dict[int, int] = {}
+            for ei, vertex, e in zip(cell.edges, cell.vertices, sig):
+                value = 2 * _DIRECTION_LABELS.index(abs(e)) + ((vertex == larger[ei]) == (e > 0))
+                if row.setdefault(ei, value) != value:
+                    break
+            else:
+                rows.setdefault(tuple(row[ei] for ei in known), []).append(tuple(row[ei] for ei in new))
+        places = [position[ei] for ei in known]
+        partials = [t + x for t in partials for x in rows.get(tuple(t[i] for i in places), ())]
+        for ei in new:
+            position[ei] = len(position)
+    places = [position[ei] for ei in edge_order]
+    return [
+        {ei: values[ei][v] for ei, v in zip(edge_order, key)}
+        for key in sorted(tuple(t[i] for i in places) for t in partials)
+    ]
 
 
 def lift_directions(

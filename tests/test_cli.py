@@ -139,6 +139,32 @@ def test_render_errors(run_cli, tmp_path):
     assert run_cli("render", "--type", "E333", "--polarisation", "induced", "-o", out)[0] == 1
 
 
+def test_patches_above_the_index_cap_are_refused(run_cli, tmp_path):
+    # index 10^10 and 40,000: refused before a vertex is built, so neither
+    # runs out of memory nor writes a huge SVG
+    svg = tmp_path / "x.svg"
+    for argv in (
+        ("polarisations", "--type", "SQUARE", "--lattice", "100000,0;0,100000"),
+        ("render", "--type", "E244", "--scale", "200", "-o", str(svg)),
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "MAX_PATCH_INDEX" in err
+    assert not svg.exists()
+
+
+def test_render_enumerated_directions_on_a_x2_patch(run_cli, tmp_path):
+    svg = tmp_path / "e333x2.svg"
+    code, _, err = run_cli(
+        "render", "--type", "E333", "--scale", "2", "--directions", "index:0",
+        "--polarisation", "induced", "-o", str(svg),
+    )
+    assert code == 0 and "Traceback" not in err
+    assert svg.read_text().rstrip().endswith("</svg>")
+
+
 def test_prove_and_replay_roundtrip(run_cli, pres_files, tmp_path):
     cert_file = tmp_path / "cert.json"
     code, out, _ = run_cli(

@@ -149,6 +149,16 @@ def test_girth_sweep_matches_word_by_word(m, bound):
         assert result.trivial == 2 * m * (2 * bound - 1)
 
 
+@pytest.mark.parametrize("m, exps", [(2, (1, -1, 3)), (3, (1, 2, -1)), (4, (-1, 1, -2))])
+def test_trivial_words_over_exponents_not_closed_under_negation(m, exps):
+    pres = ArtinPresentation(("s", "t"), {("s", "t"): m})
+    brute = {
+        w for w in itertools.product(exps, repeat=2 * m)
+        if is_trivial(pres, Word.from_letters(("st"[i % 2], e) for i, e in enumerate(w)))
+    }
+    assert brute and girth.trivial_words(m, exps) == brute
+
+
 @pytest.mark.parametrize("m, bound", [(m, b) for m in (2, 3, 4, 5) for b in (1, 2)])
 def test_half_word_keys_propose_every_template_match(m, bound):
     """Exhaustive: the pairs of halves that share a key are exactly the

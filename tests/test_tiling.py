@@ -11,21 +11,24 @@ boundary spells a relator.
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from artinflats.dihedral import is_trivial, subpresentation
+from artinflats.girth import template_exponents
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats.polarisation import enumerate_admissible, rigidity_witnesses
 from artinflats.tiling import (
     _cell_checks,
     _cell_consistent,
+    _cell_table,
     _lattice_basis,
     _reduce_mod,
     DirectedEdge,
     Edge,
     IncompatibleLatticeError,
+    MAX_PATCH_INDEX,
     Patch,
     TriangleType,
     assign_edge_types,
@@ -130,6 +133,16 @@ def test_scaled_patch_grows_quadratically():
     assert len(p2.cells) == 4 * len(p1.cells)
 
 
+def test_patch_index_cap():
+    half = MAX_PATCH_INDEX // 2
+    patch = Patch(TriangleType.SQUARE, ((half, 0), (0, 2)))
+    assert len(patch.positions) == 2 * half
+    with pytest.raises(IncompatibleLatticeError, match="MAX_PATCH_INDEX"):
+        Patch(TriangleType.SQUARE, ((half + 1, 0), (0, 2)))
+    with pytest.raises(IncompatibleLatticeError, match="MAX_PATCH_INDEX"):
+        scaled_patch(TriangleType.E236, isqrt(MAX_PATCH_INDEX) + 1)
+
+
 def test_incompatible_lattice_rejected():
     with pytest.raises(IncompatibleLatticeError):
         Patch(TriangleType.E333, ((1, 0), (0, 1)))
@@ -189,6 +202,15 @@ def test_enumerate_consistent_directions_frozen_counts():
         patch = minimal_patch(TriangleType[name])
         cons = enumerate_consistent_directions(patch)
         assert len(cons) == raw
+        # edges cell by cell, smallest cells first; assignments sorted edge
+        # by edge by label, then by source, the smaller vertex first
+        cells = sorted(patch.cells, key=lambda c: (c.m, c.index))
+        order = list(dict.fromkeys(ei for c in cells for ei in c.edges))
+        keys = []
+        for d in cons:
+            assert list(d) == order
+            keys.append([(de.label, de.source != min(patch.edges[ei].u, patch.edges[ei].v)) for ei, de in d.items()])
+        assert keys == sorted(keys) and len(set(map(tuple, keys))) == raw
         ok = [d for d in cons if validate_directions(patch, d).ok]
         assert len(ok) == validated
         for d in ok:
@@ -286,20 +308,39 @@ def test_cell_consistent_matches_cell_checks(name):
 
 def test_trivial_cell_words_pair_their_long_labels():
     # girth lemma: a trivial 2m-syllable cell word has its long labels on
-    # opposite edges, so the cell-word check alone decides a cell
+    # opposite edges, so the cell-word check alone decides a cell.  The
+    # brute-force hits with labels 1 and 2 are the cell table.
     for m, top in ((2, 4), (3, 3), (4, 2)):
         pres = ArtinPresentation(("a", "b"), {("a", "b"): m})
         labels = [sign * k for k in range(1, top + 1) for sign in (1, -1)]
-        trivial = 0
+        short = set()
         for exps in product(labels, repeat=2 * m):
             letters = []
             for k, e in enumerate(exps):
                 letters.extend([("ab"[k % 2], 1 if e > 0 else -1)] * abs(e))
             if is_trivial(pres, Word.from_letters(letters)):
-                trivial += 1
                 for k in range(2 * m):
                     assert abs(exps[k]) < 2 or abs(exps[(k + m) % (2 * m)]) == abs(exps[k])
-        assert trivial > 0
+                if max(map(abs, exps)) <= 2:
+                    short.add(exps)
+        assert short and _cell_table(m) == short
+    # m = 6: the classifier's family, every rotation of a template word
+    rotations = set()
+    for k in (1, -1, 2, -2):
+        t = template_exponents(6, k)
+        rotations.update(t[r:] + t[:r] for r in range(12))
+    assert _cell_table(6) == rotations and len(rotations) == 36
+
+
+def test_x2_e333_directions_pinned():
+    fine, coarse = scaled_patch(TriangleType.E333, 2), minimal_patch(TriangleType.E333)
+    found = enumerate_consistent_directions(fine)
+    assert len(found) == 90
+    for d in found:
+        for cell in fine.cells:
+            assert not _reference_cell_checks(fine, cell, d)
+    lifts = [lift_directions(fine, coarse, d) for d in enumerate_consistent_directions(coarse)]
+    assert len(lifts) == 18 and all(d in found for d in lifts)
 
 
 def _reference_reduce_mod(basis, v):
