@@ -6,8 +6,9 @@ Exit codes follow a fixed contract so sweeps can run under CI:
     0   success
     1   usage error (bad arguments, unparsable words, words too long to
         search, normal forms too long to print, lattices that build no
-        patch or one above tiling.MAX_PATCH_INDEX, bad input files, output
-        that cannot be written, stdout closed by its reader)
+        patch or one above tiling.MAX_PATCH_INDEX, direction enumeration
+        above tiling.MAX_PARTIAL_ASSIGNMENTS, bad input files, output that
+        cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted
 
@@ -38,6 +39,7 @@ from artinflats.subgroups import family, klein_composite, klein_pair, verify_abe
 from artinflats.tiling import (
     DirectionAssignment,
     Patch,
+    TooManyAssignmentsError,
     TriangleType,
     enumerate_consistent_directions,
     minimal_patch,
@@ -326,11 +328,11 @@ def _resolve_directions(patch: Patch, mode: str) -> DirectionAssignment | None:
             want = int(mode.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad directions index in {mode!r}")
-        consistent = [
-            d
-            for d in enumerate_consistent_directions(patch)
-            if validate_directions(patch, d).ok
-        ]
+        try:
+            enumerated = enumerate_consistent_directions(patch)
+        except TooManyAssignmentsError as exc:
+            raise UsageError(f"cannot enumerate directions: {exc}")
+        consistent = [d for d in enumerated if validate_directions(patch, d).ok]
         if not 0 <= want < len(consistent):
             raise UsageError(
                 f"directions index {want} out of range (patch has {len(consistent)})"

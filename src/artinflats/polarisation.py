@@ -7,13 +7,19 @@ an exact-cover condition, enumerated here both by constraint
 propagation and (for cross-checking on small patches) by brute force.
 Every vertex and every cell is an item.  A diagonal is an option unless
 its two ends are one vertex, which a small quotient can make; such a
-diagonal would cover that vertex twice.  The exact cover keeps, per
-item, the number of active options holding it, updated when an option
-is covered or uncovered, and branches on the item with the fewest (ties
-to the smallest item), as in the counted columns of Knuth's Dancing
-Links.  Completing a polarisation from its values on the maximal cells
-is the same exact cover, with those cells' options fixed before the
-search.
+diagonal would cover that vertex twice.  The exact cover branches on
+the item with the fewest active options, ties to the smallest item, as
+in the counted columns of Knuth's Dancing Links.  It keeps each item's
+count in a list and one bitmask per count level, the active items with
+exactly that count, so the branching item is the lowest bit of the
+first non-empty level.  An item with one option is forced, and the
+search takes it in a loop without a frame.  Covering an option appends
+the options it removes to one trail; an explicit stack of branching
+frames (options, next index, trail mark, length of the choice list, a
+copy of the levels) undoes back to a mark, so the search depth is not
+bounded by the interpreter's stack.  Completing a polarisation from its
+values on the maximal cells is the same exact cover, with those cells'
+options fixed before the search.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -38,8 +44,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import or_
 
 from artinflats.tiling import (
     Cell,
@@ -139,80 +147,115 @@ def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
     `fixed` held to its given diagonal (its option chosen before the
     search); a fixed diagonal that is no option has no completion."""
     n_v = patch.vertex_count()
-    options: list[tuple[int, int, tuple[int, ...]]] = []
+    n_items = n_v + len(patch.cells)
+    opt_cell: list[int] = []
+    opt_diag: list[int] = []
+    opt_items: list[tuple[int, int, int]] = []
     for cell in patch.cells:
         for d in range(cell.m):
             a, b = diagonal_vertices(cell, d)
             if a != b:
-                options.append((cell.index, d, (a, b, n_v + cell.index)))
-    item_options: dict[int, list[int]] = {it: [] for it in range(n_v + len(patch.cells))}
-    for oi, (_, _, items) in enumerate(options):
+                opt_cell.append(cell.index)
+                opt_diag.append(d)
+                opt_items.append((a, b, n_v + cell.index))
+    item_options: list[list[int]] = [[] for _ in range(n_items)]
+    for oi, items in enumerate(opt_items):
         for it in items:
             item_options[it].append(oi)
-    # count[it] = number of active options holding item it, kept up to
-    # date by cover/uncover so that branching needs no set intersection
-    count = {it: len(ois) for it, ois in item_options.items()}
-    active_items = set(item_options)
-    active_options = set(range(len(options)))
+    # count[it]: active options holding item it; level[c]: bitmask of the
+    # active items with count c.  An active option's items are all active,
+    # so covering one deactivates exactly its own items.
+    count = [len(ois) for ois in item_options]
+    bit = [1 << it for it in range(n_items)]
+    level = [0] * (max(count, default=0) + 1)
+    for it in range(n_items):
+        level[count[it]] |= bit[it]
+    alive = [True] * len(opt_items)
+    trail: list[int] = []  # options removed by cover, in removal order
     chosen: list[int] = []
-    results: list[Polarisation] = []
 
-    def cover(oi: int) -> tuple[list[int], list[int]]:
-        removed_items, removed_options = [], []
-        for it in options[oi][2]:
-            if it not in active_items:
-                continue
-            active_items.discard(it)
-            removed_items.append(it)
+    def cover(oi: int) -> None:
+        items = opt_items[oi]
+        for it in items:
+            level[count[it]] ^= bit[it]
+        for it in items:
             for other in item_options[it]:
-                if other in active_options:
-                    active_options.discard(other)
-                    removed_options.append(other)
-                    for it2 in options[other][2]:
-                        count[it2] -= 1
-        return removed_items, removed_options
-
-    def uncover(removed: tuple[list[int], list[int]]) -> None:
-        removed_items, removed_options = removed
-        for other in removed_options:
-            for it2 in options[other][2]:
-                count[it2] += 1
-        active_options.update(removed_options)
-        active_items.update(removed_items)
-
-    def search() -> None:
-        if not active_items:
-            results.append({options[oi][0]: options[oi][1] for oi in chosen})
-            return
-        item = min([(count[it], it) for it in active_items])[1]
-        # a list, not a generator: cover() shrinks active_options
-        for oi in [oi for oi in item_options[item] if oi in active_options]:
-            chosen.append(oi)
-            removed = cover(oi)
-            search()
-            uncover(removed)
-            chosen.pop()
+                if alive[other]:
+                    alive[other] = False
+                    trail.append(other)
+                    for it2 in opt_items[other]:
+                        c = count[it2]
+                        count[it2] = c - 1
+                        if it2 not in items:
+                            level[c] ^= bit[it2]
+                            level[c - 1] ^= bit[it2]
 
     for ci, d in fixed.items():
-        oi = next((oi for oi in item_options[n_v + ci] if options[oi][1] == d), None)
-        if oi not in active_options:
+        oi = next((oi for oi in item_options[n_v + ci] if opt_diag[oi] == d), None)
+        if oi is None or not alive[oi]:
             return []  # no option, or an end taken by an earlier fixed cell
         chosen.append(oi)
         cover(oi)
-    search()
-    return results
+
+    results: list[Polarisation] = []
+    # branching frames: [options, next index, trail mark, len(chosen), level]
+    stack: list[list] = []
+    while True:
+        for c, lv in enumerate(level):
+            if lv:
+                break
+        else:
+            results.append({opt_cell[oi]: opt_diag[oi] for oi in chosen})
+            c = 0
+        if c:
+            # the smallest item of the lowest level: the (count, item) minimum
+            item = (lv & -lv).bit_length() - 1
+            opts = [oi for oi in item_options[item] if alive[oi]]
+            if c > 1:
+                stack.append([opts, 1, len(trail), len(chosen), level[:]])
+            oi = opts[0]
+        else:
+            # a cover, or an item no option holds: resume the innermost frame
+            if not stack:
+                return results
+            frame = stack[-1]
+            opts, k, mark, n_chosen, saved = frame
+            for other in trail[mark:]:
+                alive[other] = True
+                for it in opt_items[other]:
+                    count[it] += 1
+            del trail[mark:]
+            del chosen[n_chosen:]
+            if k + 1 == len(opts):
+                stack.pop()
+                level = saved
+            else:
+                frame[1] = k + 1
+                level = saved[:]
+            oi = opts[k]
+        chosen.append(oi)
+        cover(oi)
 
 
 def naive_enumerate_admissible(patch: Patch) -> list[Polarisation]:
-    """Independent brute force over every per-cell diagonal choice;
-    only usable on small patches."""
-    results = []
-    ranges = [range(cell.m) for cell in patch.cells]
-    for combo in product(*ranges):
-        l = dict(enumerate(combo))
-        if is_admissible(patch, l):
-            results.append(l)
-    return results
+    """Independent brute force over every per-cell diagonal choice, in
+    `itertools.product` order; only usable on small patches.  With twice
+    as many vertices as cells, a choice is admissible exactly when its
+    diagonals' endpoint bitmasks OR to every vertex (a diagonal whose
+    ends are one vertex has a one-bit mask, so its OR is never full)."""
+    n_v = patch.vertex_count()
+    if 2 * len(patch.cells) != n_v:
+        return []
+    full = (1 << n_v) - 1
+    masks = [
+        [(1 << a) | (1 << b) for a, b in (diagonal_vertices(cell, d) for d in range(cell.m))]
+        for cell in patch.cells
+    ]
+    return [
+        dict(enumerate(combo))
+        for combo, ends in zip(product(*map(range, map(len, masks))), product(*masks))
+        if reduce(or_, ends, 0) == full
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,17 @@ class IncompatibleLatticeError(ValueError):
 # and builds in about half a second; an index of 10^10 would exhaust memory.
 MAX_PATCH_INDEX = 1024
 
+# The most partial assignments that enumerate_consistent_directions keeps
+# after one join step.  The largest runs under it peak at 265,560 partials
+# (E244 x3, 1 s) and 184,618 (E333 x4); E333 x5 would need 451,114 at its
+# last steps and grows on from there.
+MAX_PARTIAL_ASSIGNMENTS = 300_000
+
+
+class TooManyAssignmentsError(ValueError):
+    """Direction enumeration would keep more than MAX_PARTIAL_ASSIGNMENTS
+    partial assignments after one join step."""
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -722,7 +733,10 @@ def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
     with it on the edges already assigned.  The next cell is the one with
     the most edges already assigned, the larger m first on a tie.  The
     long-pairing check needs no step of its own: by the girth lemma a
-    trivial cell word pairs its long labels.
+    trivial cell word pairs its long labels.  A partial assignment is one
+    int, a few bits per edge, so a step looks its rows up by a mask and
+    extends it by an OR.  A step that would keep more than
+    MAX_PARTIAL_ASSIGNMENTS partials raises TooManyAssignmentsError.
 
     Deterministic: the edges are ordered cell by cell, smallest cells
     first, and the assignments are sorted edge by edge in that order by
@@ -738,15 +752,20 @@ def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
         for e in patch.edges
     ]
     larger = [max(e.u, e.v) for e in patch.edges]
+    # A partial assignment packs its values into one int, `width` bits per
+    # edge at the edge's place in it.
+    width = (2 * len(_DIRECTION_LABELS) - 1).bit_length()
+    low = (1 << width) - 1
     position: dict[int, int] = {}  # edge -> its place in a partial assignment
-    partials: list[tuple[int, ...]] = [()]
+    partials = [0]
     while cells:
         cell = max(cells, key=lambda c: (len(set(c.edges) & position.keys()), c.m, -c.index))
         cells.remove(cell)
         edges = list(dict.fromkeys(cell.edges))
-        known = [ei for ei in edges if ei in position]
-        new = [ei for ei in edges if ei not in position]
-        rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        known = sum(low << width * position[ei] for ei in edges if ei in position)
+        for ei in edges:
+            position.setdefault(ei, len(position))
+        rows: dict[int, list[int]] = {}
         for sig in _cell_table(cell.m):
             row: dict[int, int] = {}
             for ei, vertex, e in zip(cell.edges, cell.vertices, sig):
@@ -754,15 +773,20 @@ def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
                 if row.setdefault(ei, value) != value:
                     break
             else:
-                rows.setdefault(tuple(row[ei] for ei in known), []).append(tuple(row[ei] for ei in new))
-        places = [position[ei] for ei in known]
-        partials = [t + x for t in partials for x in rows.get(tuple(t[i] for i in places), ())]
-        for ei in new:
-            position[ei] = len(position)
-    places = [position[ei] for ei in edge_order]
+                packed = sum(value << width * position[ei] for ei, value in row.items())
+                rows.setdefault(packed & known, []).append(packed & ~known)
+        matches = [rows.get(t & known, ()) for t in partials]
+        size = sum(map(len, matches))
+        if size > MAX_PARTIAL_ASSIGNMENTS:
+            raise TooManyAssignmentsError(
+                f"direction enumeration would keep {size} partial assignments,"
+                f" above MAX_PARTIAL_ASSIGNMENTS = {MAX_PARTIAL_ASSIGNMENTS}"
+            )
+        partials = [t | x for t, xs in zip(partials, matches) for x in xs]
+    shifts = [width * position[ei] for ei in edge_order]
     return [
         {ei: values[ei][v] for ei, v in zip(edge_order, key)}
-        for key in sorted(tuple(t[i] for i in places) for t in partials)
+        for key in sorted(tuple(t >> s & low for s in shifts) for t in partials)
     ]
 
 

@@ -155,6 +155,20 @@ def test_patches_above_the_index_cap_are_refused(run_cli, tmp_path):
     assert not svg.exists()
 
 
+def test_direction_enumeration_above_the_partial_cap_is_refused(run_cli, tmp_path):
+    # E333 x5 is under MAX_PATCH_INDEX, but its join would keep 451,114
+    # partial assignments; without the cap it exhausts memory
+    svg = tmp_path / "x.svg"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        "render", "--type", "E333", "--scale", "5", "--directions", "index:0", "-o", str(svg)
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "MAX_PARTIAL_ASSIGNMENTS" in err
+    assert not svg.exists()
+
+
 def test_render_enumerated_directions_on_a_x2_patch(run_cli, tmp_path):
     svg = tmp_path / "e333x2.svg"
     code, _, err = run_cli(

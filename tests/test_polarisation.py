@@ -70,6 +70,24 @@ def test_enumerate_admissible_frozen_x2():
         assert len(enumerate_admissible(patch)) == count
 
 
+# admissible polarisations of scaled_patch(type, s) for s = 1..5; they fit
+# 3(2^s - 1), 2*4^s + 2^(s+1) - 4 and 6(2^s - 1), closed forms found from
+# the data, not derived
+ADMISSIBLE_BY_SCALE = {
+    "E333": [3, 9, 21, 45, 93],
+    "E244": [8, 36, 140, 540, 2108],
+    "E236": [6, 18, 42, 90, 186],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_BY_SCALE))
+def test_enumerate_admissible_frozen_scales_1_to_5(name):
+    counts = [
+        len(enumerate_admissible(scaled_patch(TriangleType[name], s))) for s in range(1, 6)
+    ]
+    assert counts == ADMISSIBLE_BY_SCALE[name]
+
+
 def set_intersection_enumerate_admissible(patch):
     """Reference: the exact cover as it was before the per-item counts,
     picking each branching item by intersecting its option set with the
@@ -272,6 +290,15 @@ def test_determined_values_unique_completion():
             partial = {ci: d for ci, d in l.items() if ci in maximal}
             assert _agreeing(admissible, partial) == [l]
             assert determined_values(patch, partial) == l
+
+
+def test_determined_values_on_a_deep_patch():
+    # 1,350 cells: the search needs no stack frame per cell
+    patch = scaled_patch(TriangleType.E236, 15)
+    l = induced(patch, standard_directions(patch))
+    partial = {c.index: l[c.index] for c in patch.maximal_cells()}
+    assert len(patch.cells) == 1350
+    assert determined_values(patch, partial) == l
 
 
 def test_determined_values_rejects_wrong_domain(patch244):

@@ -18,6 +18,7 @@ import pytest
 from artinflats.dihedral import is_trivial, subpresentation
 from artinflats.girth import template_exponents
 from artinflats.presentation import ArtinPresentation, Word
+from artinflats import tiling
 from artinflats.polarisation import enumerate_admissible, rigidity_witnesses
 from artinflats.tiling import (
     _cell_checks,
@@ -30,6 +31,7 @@ from artinflats.tiling import (
     IncompatibleLatticeError,
     MAX_PATCH_INDEX,
     Patch,
+    TooManyAssignmentsError,
     TriangleType,
     assign_edge_types,
     boundary_word,
@@ -141,6 +143,16 @@ def test_patch_index_cap():
         Patch(TriangleType.SQUARE, ((half + 1, 0), (0, 2)))
     with pytest.raises(IncompatibleLatticeError, match="MAX_PATCH_INDEX"):
         scaled_patch(TriangleType.E236, isqrt(MAX_PATCH_INDEX) + 1)
+
+
+def test_direction_enumeration_partial_cap(monkeypatch):
+    # the largest join step on E333 x2 keeps 696 partial assignments
+    patch = scaled_patch(TriangleType.E333, 2)
+    monkeypatch.setattr(tiling, "MAX_PARTIAL_ASSIGNMENTS", 696)
+    assert len(enumerate_consistent_directions(patch)) == 90
+    monkeypatch.setattr(tiling, "MAX_PARTIAL_ASSIGNMENTS", 695)
+    with pytest.raises(TooManyAssignmentsError, match="MAX_PARTIAL_ASSIGNMENTS"):
+        enumerate_consistent_directions(patch)
 
 
 def test_incompatible_lattice_rejected():
