@@ -319,30 +319,28 @@ def _parallel_edge_position(patch: Patch, cell: Cell, k: int) -> int:
 def e_translation(patch: Patch, e_class: Vec) -> Vec:
     """The translation mapping a maximal cell containing an e-edge to
     its partner in the type's defining configuration.  Computed once per
-    class and kept on the patch, a RigidityError included."""
-    cache = patch.e_translations
-    if e_class not in cache:
-        try:
-            cache[e_class] = _e_translation(patch, e_class)
-        except RigidityError as exc:
-            cache[e_class] = exc
-    result = cache[e_class]
-    if isinstance(result, RigidityError):
-        raise result.with_traceback(None)
-    return result
+    class and kept on the patch; raises RigidityError for a class with no
+    edge on a maximal cell."""
+    if e_class not in patch.e_translations:
+        patch.e_translations[e_class] = _e_translation(patch, e_class)
+    rho = patch.e_translations[e_class]
+    if rho is None:
+        raise RigidityError(f"class {e_class} has no edge on a maximal cell")
+    return rho
 
 
-def _e_translation(patch: Patch, e_class: Vec) -> Vec:
+def _e_translation(patch: Patch, e_class: Vec) -> Vec | None:
     """The strip walk of the module docstring, from the first maximal
-    cell sigma on the first e-class edge.  Crossings are reversible and
-    every cell edge has one parallel edge in its cell, so the walk ends
-    on a maximal cell, sigma itself at the latest."""
+    cell sigma on the first e-class edge, or None when that edge lies on
+    no maximal cell.  Crossings are reversible and every cell edge has
+    one parallel edge in its cell, so the walk ends on a maximal cell,
+    sigma itself at the latest."""
     edge = next(e for e in patch.edges if e.direction_class == e_class)
     mm = patch.maximal_m()
     cells = [patch.cells[ci] for ci in patch.edge_cells[edge.index]]
     sigma = next((c for c in cells if c.m == mm), None)
     if sigma is None:
-        raise RigidityError(f"class {e_class} has no edge on a maximal cell")
+        return None
     cell, pos = sigma, sigma.edges.index(edge.index)
     lift = patch.cell_lift(sigma)
     start = _center2m(lift)
@@ -503,13 +501,15 @@ def polarisation_from_json(patch: Patch, text: str) -> Polarisation:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a polarisation must be a JSON object")
+    # the one spelling of each cell index, so no cell is named twice
+    cell_at = {str(cell.index): cell for cell in patch.cells}
     l: Polarisation = {}
     for key, pair in data.items():
-        if not key.isdecimal() or int(key) >= len(patch.cells):
+        if key not in cell_at:
             raise ValueError(f"bad cell index {key!r}")
         if not isinstance(pair, list) or len(pair) != 2 or any(type(v) is not int for v in pair):
             raise ValueError(f"cell {key}: expected two vertex integers, got {pair!r}")
-        cell = patch.cells[int(key)]
+        cell = cell_at[key]
         want = set(pair)
         for d in range(cell.m):
             if set(diagonal_vertices(cell, d)) == want:

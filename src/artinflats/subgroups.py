@@ -353,7 +353,7 @@ def _read_off_square(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
         v = 0
         total = 0
         for _ in range(patch.vertex_count() + 1):
-            edge = patch._edge_at(v, gen, step)
+            edge = patch.edges[patch.edge_by_step[v, step]]
             de = d[edge.index]
             total += de.label if de.source == v else -de.label
             v = edge.other(v)

@@ -10,9 +10,12 @@ t by (0, +-1), so a generator may label several maps.  One orbit builder
 makes every type's 1-skeleton, the dual chamber graph:
 
   * vertices  = group elements modulo a sublattice of translations,
-                realised as the orbit of a generic base point,
+                realised as the orbit of a generic base point: each is
+                keyed by its position modulo the sublattice and numbered
+                in the breadth-first order of discovery,
   * edges     = right multiplication by a generating map; the edge
-                {w, wg} carries the generator labelling g,
+                {w, wg} carries the generator labelling g, and one index
+                maps (vertex, step from that vertex) to the edge,
   * 2m-cells  = cosets of the dihedral subgroup generated by a pair of
                 reflections, traversed as alternating cycles (on the
                 square grid, the unit squares) by one walk along each
@@ -34,7 +37,6 @@ centres are exact integers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -251,8 +253,8 @@ class TooManyAssignmentsError(ValueError):
 @dataclass(frozen=True)
 class Edge:
     index: int
-    u: int  # endpoint vertex indices, u < v never guaranteed; u is the
-    v: int  # BFS-discovery endpoint, delta points u -> v
+    u: int  # endpoint vertex indices, u < v: u is the endpoint
+    v: int  # discovered first, delta points u -> v
     gen: str
     delta: Vec  # exact geometric step from u to v
 
@@ -304,12 +306,14 @@ class Patch:
         self.vertex_at: dict[Vec, int] = {}
         self.edges: list[Edge] = []
         self.vertex_edges: list[list[int]] = []
+        # (vertex, step from that vertex) -> index of the edge taking it
+        self.edge_by_step: dict[tuple[int, Vec], int] = {}
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
         self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
-        # polarisation.e_translation's result (a Vec or the RigidityError
-        # it raised) per edge class; it depends only on the patch
-        self.e_translations: dict[Vec, Vec | Exception] = {}
+        # polarisation.e_translation's translation per edge class, None for
+        # a class with no edge on a maximal cell; it depends only on the patch
+        self.e_translations: dict[Vec, Vec | None] = {}
         self._build_orbit()
         self._build_cells()
         for ei, cells in enumerate(self.edge_cells):
@@ -318,52 +322,43 @@ class Patch:
 
     # -- construction ------------------------------------------------
 
-    def _add_vertex(self, position: Vec) -> int:
-        if position in self.vertex_at:
-            raise AssertionError(f"vertex position collision at {position}")
-        idx = len(self.positions)
+    def _add_vertex(self, position: Vec) -> None:
+        self.vertex_at[position] = len(self.positions)
         self.positions.append(position)
-        self.vertex_at[position] = idx
         self.vertex_edges.append([])
-        return idx
 
     def _add_edge(self, u: int, v: int, gen: str, delta: Vec) -> None:
         idx = len(self.edges)
         self.edges.append(Edge(idx, u, v, gen, delta))
         self.vertex_edges[u].append(idx)
         self.vertex_edges[v].append(idx)
+        self.edge_by_step[u, delta] = idx
+        self.edge_by_step[v, (-delta[0], -delta[1])] = idx
         self.edge_cells.append([])
 
     def _build_orbit(self) -> None:
+        """Breadth first over group elements w, each keyed by its vertex
+        position w(p0) modulo the lattice; p0 is generic, so the position
+        fixes w up to the lattice.  Every map's inverse is a map too, so
+        the edge {w, wg} is added once, from its end found first."""
         data = _TYPE_DATA[self.triangle_type]
         p0 = data["base_point"]
-
-        def key(w: Affine):
-            return (w[:4], _reduce_mod(self.lattice, (w[4], w[5])))
-
-        states: dict = {key(AFFINE_ID): 0}
-        reps: list[Affine] = [AFFINE_ID]
+        reps: list[Affine] = [AFFINE_ID]  # one element per vertex, by index
         self._add_vertex(_reduce_mod(self.lattice, p0))
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            w = reps[i]
+        for i, w in enumerate(reps):  # reps grows as vertices are found
             x, y = affine_apply(w, p0)
             for gname, g in data["maps"]:
                 wg = affine_compose(w, g)
                 p = affine_apply(wg, p0)
-                k = key(wg)
-                if k not in states:
-                    states[k] = self._add_vertex(_reduce_mod(self.lattice, p))
+                q = _reduce_mod(self.lattice, p)
+                if q not in self.vertex_at:
+                    self._add_vertex(q)
                     reps.append(wg)
-                    queue.append(states[k])
-                j = states[k]
+                j = self.vertex_at[q]
                 if i == j:
                     raise IncompatibleLatticeError("self-loop edge; lattice too small")
-                delta = (p[0] - x, p[1] - y)
-                # j may have added this edge already, as its step back to i
-                if all(self.edges[ei].delta_from(i) != delta for ei in self.vertex_edges[i]):
-                    self._add_edge(i, j, gname, delta)
+                if j > i:
+                    self._add_edge(i, j, gname, (p[0] - x, p[1] - y))
         expected = data["point_group_order"] * self._covering_index()
         if len(self.positions) != expected:
             raise AssertionError(
@@ -378,18 +373,17 @@ class Patch:
         return index
 
     def _edge_at(self, vertex: int, gen: str, delta: Vec | None = None) -> Edge:
+        """The gen-edge at `vertex`; a step `delta` from it, when given,
+        picks the edge by itself (a square-grid vertex has two of each)."""
+        if delta is not None:
+            return self.edges[self.edge_by_step[vertex, delta]]
         hits = []
-        for ei in self.vertex_edges[vertex]:
+        for ei in self.vertex_edges[vertex]:  # a loop: faster here than a comprehension
             e = self.edges[ei]
-            if e.gen != gen:
-                continue
-            if delta is not None and e.delta_from(vertex) != delta:
-                continue
-            hits.append(e)
+            if e.gen == gen:
+                hits.append(e)
         if len(hits) != 1:
-            raise KeyError(
-                f"vertex {vertex} has {len(hits)} {gen}-edges matching delta {delta}"
-            )
+            raise KeyError(f"vertex {vertex} has {len(hits)} {gen}-edges")
         return hits[0]
 
     def _build_cells(self) -> None:
@@ -459,22 +453,12 @@ class Patch:
         except KeyError:
             raise KeyError(f"translation {vec} does not preserve the vertex set")
 
-    def translate_edge(self, edge: Edge, vec: Vec) -> Edge:
-        u2 = self.translate_vertex(edge.u, vec)
-        hits = []
-        for ei in self.vertex_edges[u2]:
-            e2 = self.edges[ei]
-            if e2.delta_from(u2) == edge.delta:
-                hits.append(e2)
-        if len(hits) != 1:
-            raise KeyError(f"translation {vec} does not act on edges")
-        return hits[0]
-
     def translate_cell(self, cell: Cell, vec: Vec) -> Cell:
-        mapped = [self.translate_edge(self.edges[ei], vec).index for ei in cell.edges]
-        common = set(self.edge_cells[mapped[0]])
-        for ei in mapped[1:]:
-            common &= set(self.edge_cells[ei])
+        mapped = [
+            self.edge_by_step[self.translate_vertex(v, vec), self.edges[ei].delta_from(v)]
+            for v, ei in zip(cell.vertices, cell.edges)
+        ]
+        common = set.intersection(*(set(self.edge_cells[ei]) for ei in mapped))
         if len(common) != 1:
             raise KeyError(f"translation {vec} does not act on cells")
         return self.cells[common.pop()]
@@ -800,14 +784,10 @@ def lift_directions(
     for vec in fine.lattice:
         if _reduce_mod(coarse.lattice, vec) != (0, 0):
             raise ValueError("fine lattice is not a sublattice of the coarse one")
-
-    def vmap(i: int) -> int:
-        return coarse.vertex_at[_reduce_mod(coarse.lattice, fine.positions[i])]
-
     out: DirectionAssignment = {}
     for e in fine.edges:
-        cu = vmap(e.u)
-        ce = coarse._edge_at(cu, e.gen, e.delta)
+        cu = coarse.vertex_at[_reduce_mod(coarse.lattice, fine.positions[e.u])]
+        ce = coarse.edges[coarse.edge_by_step[cu, e.delta]]
         de = d_coarse[ce.index]
         source = e.u if de.source == cu else e.v
         if de.source not in (ce.u, ce.v):

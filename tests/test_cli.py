@@ -124,6 +124,15 @@ def test_render_matches_goldens(run_cli, tmp_path):
         assert out_file.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_render_without_arrows_drops_only_the_arrow_lines(run_cli, tmp_path):
+    out = tmp_path / "no_arrows.svg"
+    assert run_cli("render", *RENDER_ARGS["e333_directions.svg"], "--no-arrows", "-o", str(out))[0] == 0
+    lines = (GOLDEN / "e333_directions.svg").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if "marker-end" not in line]
+    assert len(lines) - len(kept) == 15
+    assert out.read_text() == "".join(kept)
+
+
 def test_render_is_deterministic(run_cli, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     args = ["render", "--type", "E244", "--directions", "index:4", "--polarisation", "induced"]
@@ -406,6 +415,8 @@ def test_bad_polarisation_files_are_usage_errors(run_cli, tmp_path):
         {"-1": good[last]},
         {str(len(patch.cells)): good[last]},
         {"x": good["0"]},
+        {**good, "00": good["0"]},  # cell 0 named twice
+        {("\u0660" if key == "0" else key): pair for key, pair in good.items()},  # Arabic-Indic zero
     ):
         bad.write_text(json.dumps(data))
         _assert_usage_error(run_cli(*args, "--polarisation", f"file:{bad}"))

@@ -117,14 +117,33 @@ def _reference_square_grid(lattice):
     return positions, edges, vertex_edges
 
 
-@pytest.mark.parametrize(
-    "lattice",
-    [((2, 0), (0, 2)), ((3, 0), (0, 3)), ((4, 0), (0, 4)),
-     ((2, 0), (0, 3)), ((1, 1), (0, 2)), ((3, 1), (0, 2)), ((2, 1), (1, 3))],
-)
+SQUARE_LATTICES = [
+    ((2, 0), (0, 2)), ((3, 0), (0, 3)), ((4, 0), (0, 4)),
+    ((2, 0), (0, 3)), ((1, 1), (0, 2)), ((3, 1), (0, 2)), ((2, 1), (1, 3)),
+]
+
+
+@pytest.mark.parametrize("lattice", SQUARE_LATTICES)
 def test_square_grid_numbering_matches_a_direct_walk(lattice):
     patch = Patch(TriangleType.SQUARE, lattice)
     assert (patch.positions, patch.edges, patch.vertex_edges) == _reference_square_grid(lattice)
+
+
+def _scaled_lattice(name, factor):
+    return tuple((factor * x, factor * y) for x, y in translation_lattice(TriangleType[name]))
+
+
+@pytest.mark.parametrize(
+    "name, lattice",
+    [(name, _scaled_lattice(name, k)) for name in ("E333", "E244", "E236") for k in (1, 2, 3)]
+    + [("SQUARE", lattice) for lattice in SQUARE_LATTICES],
+)
+def test_edge_by_step_indexes_both_ends_of_every_edge(name, lattice):
+    patch = Patch(TriangleType[name], lattice)
+    assert len(patch.edge_by_step) == 2 * len(patch.edges)
+    for e in patch.edges:
+        for v in (e.u, e.v):
+            assert patch.edge_by_step[v, e.delta_from(v)] == e.index
 
 
 def test_scaled_patch_grows_quadratically():
@@ -260,19 +279,25 @@ def test_assign_edge_types_detects_conflict(patch333):
 
 
 def test_lift_directions_is_periodic(patch333):
-    d = standard_directions(patch333)
-    big = scaled_patch(TriangleType.E333, 2)
-    lifted = lift_directions(big, patch333, d)
-    assert validate_directions(big, lifted).ok
-    for e in big.edges:
-        # each fine edge carries its coarse image's label and direction
-        u_down = patch333.vertex_at[_reduce_mod(patch333.lattice, big.positions[e.u])]
-        coarse_edge = patch333._edge_at(u_down, e.gen, e.delta)
-        points_away = lifted[e.index].source == e.u
-        assert points_away == (d[coarse_edge.index].source == u_down)
-        assert lifted[e.index].label == d[coarse_edge.index].label
+    # in SQUARE x2 two s-edges join vertices 0 and 1: only the step tells them apart
+    e333x2 = scaled_patch(TriangleType.E333, 2)
+    pairs = [
+        (e333x2, patch333),
+        (scaled_patch(TriangleType.SQUARE, 4), scaled_patch(TriangleType.SQUARE, 2)),
+    ]
+    for big, small in pairs:
+        d = standard_directions(small)
+        lifted = lift_directions(big, small, d)
+        assert validate_directions(big, lifted).ok
+        for e in big.edges:
+            # each fine edge carries its coarse image's label and direction
+            u_down = small.vertex_at[_reduce_mod(small.lattice, big.positions[e.u])]
+            coarse_edge = small._edge_at(u_down, e.gen, e.delta)
+            points_away = lifted[e.index].source == e.u
+            assert points_away == (d[coarse_edge.index].source == u_down)
+            assert lifted[e.index].label == d[coarse_edge.index].label
     with pytest.raises(ValueError):
-        lift_directions(patch333, big, standard_directions(big))
+        lift_directions(patch333, e333x2, standard_directions(e333x2))
 
 
 def _reference_cell_checks(patch, cell, d) -> set[str]:
