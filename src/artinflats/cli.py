@@ -35,7 +35,7 @@ from artinflats.polarisation import (
 )
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats.prover import MAX_CERT_LETTERS, Budget, Certificate, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
-from artinflats.subgroups import family, klein_composite, klein_pair, verify_abelian
+from artinflats.subgroups import FAMILY_CASES, family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
     DirectionAssignment,
     Patch,
@@ -76,7 +76,7 @@ def _load_presentation(path: str) -> ArtinPresentation:
             return ArtinPresentation.from_json(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read presentation file: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad presentation file {path}: {exc}")
 
 
@@ -140,6 +140,8 @@ def _emit(args, text: str) -> None:
 def cmd_normalize(args) -> int:
     pres = _load_presentation(args.presentation)
     word = _parse_word(args.word, pres)
+    if word.letter_length() > MAX_CERT_LETTERS:
+        raise UsageError(f"word has more than {MAX_CERT_LETTERS} letters")
     try:
         nf = dihedral.normal_form(pres, word)
     except ValueError as exc:
@@ -355,7 +357,7 @@ def _resolve_polarisation(patch: Patch, mode: str, d: DirectionAssignment | None
                 return polarisation_from_json(patch, fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read polarisation file: {exc}")
-        except (ValueError, KeyError, IndexError) as exc:
+        except (ValueError, KeyError, IndexError, RecursionError) as exc:
             raise UsageError(f"bad polarisation file {path}: {exc}")
     raise UsageError(f"unknown polarisation mode {mode!r}")
 
@@ -581,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("families", help="Flat-subgroup generator pairs and their certificates.")
-    p.add_argument("--case", required=True, choices=["a", "b", "c", "d", "e", "f"])
+    p.add_argument("--case", required=True, choices=FAMILY_CASES)
     p.add_argument("--exponents", help="star factors 'k;k,l;...' (cases b-f)")
     p.add_argument("--presentation", help="case a only")
     p.add_argument("--left", help="case a only")

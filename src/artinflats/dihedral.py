@@ -328,35 +328,27 @@ class ClosureResult:
     reached_target: bool
     complete: bool
     visited_count: int
-    states: frozenset[str] = frozenset()
+    states: set[str]
 
 
-def closure(
-    m: int,
-    start: str,
-    max_len: int,
-    max_states: int,
-    target: str | None = None,
-    keep_states: bool = False,
-) -> ClosureResult:
+def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
     """Breadth-first closure of the move system from `start`, keeping
-    every intermediate string at length <= max_len.
+    every intermediate string at length <= max_len.  The start decides
+    where it stops: a non-empty start stops on reaching the empty string
+    (`reached_target`), the empty start runs on to the whole ball.
 
     The closure runs over symmetry orbits: it stores, dedupes and expands
     only canonical representatives, so `visited_count`, `max_states` and
-    `states` (with keep_states) all count or hold representatives.  The
-    empty string is the only string that every symmetry fixes, so it is
-    the only target a representative can be matched against: target must
-    be None or "".
+    `states` all count or hold representatives.  The empty string is the
+    only string that every symmetry fixes, so it is the only target a
+    representative can be matched against.
     """
-    if target not in (None, ""):
-        raise ValueError(f"closure target must be None or '', not {target!r}")
     rules = balanced_rules(m)
     start = _canonical(start)
     seen = {start}
     queue = deque([start])
     complete = True
-    found = start == target
+    found = False
     while queue and not found:
         state = queue.popleft()
         for nxt in _neighbours(state, rules, max_len):
@@ -365,7 +357,7 @@ def closure(
             nxt = _canonical(nxt)
             if nxt in seen:
                 continue
-            if nxt == target:
+            if not nxt:  # "" is already seen when the closure starts there
                 found = True
                 break
             if len(seen) >= max_states:
@@ -377,7 +369,7 @@ def closure(
         reached_target=found,
         complete=complete,
         visited_count=len(seen),
-        states=frozenset(seen) if keep_states else frozenset(),
+        states=seen,
     )
 
 
@@ -401,7 +393,7 @@ def bfs_oracle_is_trivial(
         return True
     if max_len is None:
         max_len = 4 * len(s)
-    result = closure(m, s, max_len=max_len, max_states=max_states, target="")
+    result = closure(m, s, max_len=max_len, max_states=max_states)
     if result.reached_target:
         return True
     if result.complete:
@@ -422,7 +414,7 @@ class IdentityBall:
 
     __slots__ = ("reps", "_size")
 
-    def __init__(self, reps: frozenset[str]):
+    def __init__(self, reps: set[str]):
         self.reps = reps
         self._size = sum(map(_orbit_size, reps))
 
@@ -442,7 +434,7 @@ def identity_ball(m: int, max_len: int, max_states: int = 4_000_000) -> Identity
     is symmetric, membership is equivalent to the oracle reaching the
     empty string from the member.  The ball supports `in` and `len`;
     max_states bounds the orbit representatives, not the strings."""
-    result = closure(m, "", max_len=max_len, max_states=max_states, keep_states=True)
+    result = closure(m, "", max_len=max_len, max_states=max_states)
     if not result.complete:
         raise OracleBudgetError(
             f"identity ball at length {max_len} exceeded {max_states} states",

@@ -20,7 +20,8 @@ The search works on freely reduced letter tuples.  A transition is a
 rule application or a whole-relator insertion followed by free
 reduction; each transition expands deterministically into elementary
 moves.  Equality searches run bidirectionally and meet in the middle.
-A word given to a search has at most MAX_CERT_LETTERS letters.
+A word given to a search has at most MAX_CERT_LETTERS letters, and so
+has the rule table of each relator: 16 m^2 letters, so m <= 250.
 
 Every strategy climbs one ladder.  A conjugated word c^-1 x c has its
 conjugator peeled one letter per layer, each layer's small search
@@ -57,7 +58,8 @@ class ReplayError(ValueError):
 
 
 class WordTooLongError(ValueError):
-    """A word given to a search has more than MAX_CERT_LETTERS letters."""
+    """A word given to a search, or the rule table of a relator, has more
+    than MAX_CERT_LETTERS letters."""
 
 
 class SearchBudgetError(RuntimeError):
@@ -432,6 +434,9 @@ class _Rules:
         self.code = {letter: c for c, letter in enumerate(self.letters)}
         self.pairs = []
         for a, b in pres.finite_pairs():
+            m = pres.m(a, b)
+            if 16 * m * m > MAX_CERT_LETTERS:
+                raise WordTooLongError(f"the rules of m({a},{b}) = {m} spell more than {MAX_CERT_LETTERS} letters")
             rules = relator_rules(pres, a, b)
             windows: dict[tuple[int, ...], list[int]] = {}
             variants = []

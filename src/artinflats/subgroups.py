@@ -10,8 +10,8 @@ certificate, and `klein_pair` builds the twisted (index-two) variant
 a^-1 g a = g^-1 together with its certificate.
 
 `read_off_generators` closes the loop with the tiling side: given a
-periodic patch with a consistent direction assignment and its induced
-polarisation, it walks the quotient graph and reads off a generator
+periodic patch with a consistent direction assignment, it derives the
+induced polarisation, walks the quotient graph and reads off a generator
 pair -- the first word along a combinatorial axis of a rigidity-witness
 translation, the second along a transverse type-preserving translation
 -- and the result always lands in the family of the patch's triangle
@@ -47,29 +47,7 @@ from artinflats.tiling import (
     presentation_for,
     validate_directions,
 )
-from artinflats.polarisation import (
-    Polarisation,
-    induced,
-    rigidity_witnesses,
-)
-
-FAMILY_CASES = ("a", "b", "c", "d", "e", "f")
-
-# Which triangle shape each case lives on, and which cases a patch of
-# that shape can read off.  The split case "a" belongs to the square
-# tiling and carries its presentation as a parameter instead.
-_CASE_TYPE = {
-    "b": TriangleType.E333,
-    "c": TriangleType.E244,
-    "d": TriangleType.E244,
-    "e": TriangleType.E236,
-    "f": TriangleType.E236,
-}
-_TYPE_CASES = {
-    TriangleType.E333: ("b",),
-    TriangleType.E244: ("c", "d"),
-    TriangleType.E236: ("e", "f"),
-}
+from artinflats.polarisation import induced, rigidity_witnesses
 
 # Exponent-matrix symmetries: generator swaps that preserve every
 # pairwise exponent of the shape.  All three exponents of E236 differ,
@@ -78,25 +56,6 @@ _SYMMETRIES = {
     TriangleType.E333: ({}, {"t": "r", "r": "t"}),
     TriangleType.E244: ({}, {"s": "r", "r": "s"}),
     TriangleType.E236: ({},),
-}
-
-_FIRST_WORD = {
-    "b": "s1 t1 r1 s1 t1 r1",
-    "c": "s1 t1 r1 t1",
-    "d": "s1 t1 s1 r1 t1 r1",
-    "e": "s1 t1 s1 t1 s1 r1 t1 s1 t1 r1",
-    "f": "t1 s1 t1 s1 t1 r1",
-}
-
-# Factor shape of the second generator: (power generator, fixed tail)
-# pairs concatenated in order.  A factor substitutes a nonzero exponent
-# for each power.
-_FACTOR_SHAPE = {
-    "b": (("t", "s1 t1 r1"),),
-    "c": (("r", "t-1"), ("s", "t1")),
-    "d": (("t", "s1 t1 r1"),),
-    "e": (("t", "s1 t1 s1 t1 r1"),),
-    "f": (("s", "t1 s1 t1 r1 t-1"),),
 }
 
 
@@ -109,18 +68,24 @@ class FlatFamily:
     template: LanguageTemplate
 
 
-def _build_family(case: str) -> FlatFamily:
-    tt = _CASE_TYPE[case]
-    return FlatFamily(
-        case,
-        tt,
-        presentation_for(tt),
-        Word.parse(_FIRST_WORD[case]),
-        LanguageTemplate(_FACTOR_SHAPE[case]),
+# One row per triangle case: its shape, its first generator, and the
+# factor shape of its second generator, (power generator, fixed tail)
+# pairs concatenated in order, where a factor substitutes a nonzero
+# exponent for each power.  A patch reads off the cases of its shape in
+# table order.  The split case "a" belongs to the square tiling and
+# carries its presentation as a parameter instead.
+_FAMILIES = {
+    case: FlatFamily(case, tt, presentation_for(tt), Word.parse(w1), LanguageTemplate(shape))
+    for case, tt, w1, shape in (
+        ("b", TriangleType.E333, "s1 t1 r1 s1 t1 r1", (("t", "s1 t1 r1"),)),
+        ("c", TriangleType.E244, "s1 t1 r1 t1", (("r", "t-1"), ("s", "t1"))),
+        ("d", TriangleType.E244, "s1 t1 s1 r1 t1 r1", (("t", "s1 t1 r1"),)),
+        ("e", TriangleType.E236, "s1 t1 s1 t1 s1 r1 t1 s1 t1 r1", (("t", "s1 t1 s1 t1 r1"),)),
+        ("f", TriangleType.E236, "t1 s1 t1 s1 t1 r1", (("s", "t1 s1 t1 r1 t-1"),)),
     )
+}
 
-
-_FAMILIES = {case: _build_family(case) for case in _CASE_TYPE}
+FAMILY_CASES = ("a", *_FAMILIES)
 
 
 def flat_family(case: str) -> FlatFamily:
@@ -324,12 +289,11 @@ def _find_transverse(
     patch: Patch,
     d: DirectionAssignment,
     v0: int,
-    case: str,
+    template: LanguageTemplate,
     sym: dict,
     delta1: Vec,
     bound: int,
 ) -> Word | None:
-    template = flat_family(case).template
     for factors in (1, 2, 3):
         for instance in template.members(factors, bound):
             w = instance.substitute(sym)
@@ -369,34 +333,31 @@ def _read_off_square(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
     return out[0], out[1]
 
 
-def read_off_generators(
-    patch: Patch, d: DirectionAssignment, l: Polarisation | None = None
-) -> tuple[Word, Word]:
+def read_off_generators(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
     """Generator pair read off a consistently directed periodic patch.
 
     The first word is read along a combinatorial axis of a rigidity
-    witness translation (crossing only short edges, so it is one of the
-    fixed first generators up to exponent-matrix symmetry and
-    inversion); the second along a transverse type-preserving
-    translation, giving a member of the matching factor language.
+    witness translation of the induced polarisation (crossing only short
+    edges, so it is one of the fixed first generators up to
+    exponent-matrix symmetry and inversion); the second along a
+    transverse type-preserving translation, giving a member of the
+    matching factor language.  An inconsistent assignment raises
+    ValueError.
     """
-    report = validate_directions(patch, d)
-    if not report.ok:
-        raise ValueError(f"direction assignment is inconsistent: {report.violations}")
-    if patch.triangle_type == TriangleType.SQUARE:
+    tt = patch.triangle_type
+    if tt == TriangleType.SQUARE:
+        report = validate_directions(patch, d)
+        if not report.ok:
+            raise ValueError(f"direction assignment is inconsistent: {report.violations}")
         return _read_off_square(patch, d)
-    expected = induced(patch, d)
-    if l is None:
-        l = expected
-    elif l != expected:
-        raise ValueError("polarisation is not the one induced by the directions")
+    l = induced(patch, d)
+    families = [fam for fam in _FAMILIES.values() if fam.triangle_type == tt]
     bound = max(de.label for de in d.values())
     for witness in rigidity_witnesses(patch, l):
-        target = _minimal_type_preserving_multiple(patch.triangle_type, witness.rho)
-        for case in _TYPE_CASES[patch.triangle_type]:
-            w1_base = flat_family(case).w1
-            for sym in _SYMMETRIES[patch.triangle_type]:
-                image = w1_base.substitute(sym)
+        target = _minimal_type_preserving_multiple(tt, witness.rho)
+        for fam in families:
+            for sym in _SYMMETRIES[tt]:
+                image = fam.w1.substitute(sym)
                 for w1 in (image, image.inverse()):
                     for v0 in range(patch.vertex_count()):
                         res = _walk_word(patch, d, v0, w1)
@@ -407,7 +368,7 @@ def read_off_generators(
                             continue
                         if not _is_lattice_translation(patch, v0, vend, delta1):
                             continue
-                        w2 = _find_transverse(patch, d, v0, case, sym, delta1, bound)
+                        w2 = _find_transverse(patch, d, v0, fam.template, sym, delta1, bound)
                         if w2 is not None:
                             return w1, w2
     raise ValueError("no generator pair is readable from this assignment")

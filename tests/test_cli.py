@@ -65,6 +65,14 @@ def test_normalize_refuses_a_form_too_long_to_print(run_cli, tmp_path):
     assert f"more than {MAX_CERT_LETTERS}" in err
 
 
+def test_normalize_refuses_a_word_too_long_to_expand(run_cli, pres_files):
+    t0 = time.perf_counter()
+    code, out, err = run_cli("normalize", "--presentation", pres_files["m3"], "s100000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"more than {MAX_CERT_LETTERS}" in err
+
+
 def test_usage_errors(run_cli):
     assert run_cli()[0] == 1
     assert run_cli("bogus")[0] == 1
@@ -394,6 +402,8 @@ def test_bad_presentation_files_are_usage_errors(run_cli, tmp_path):
     ):
         bad.write_text(json.dumps(data))
         _assert_usage_error(run_cli("normalize", "--presentation", str(bad), "s1"))
+    bad.write_text("[" * 100_000)  # too deep for the JSON decoder
+    _assert_usage_error(run_cli("normalize", "--presentation", str(bad), "s1"))
 
 
 def test_bad_polarisation_files_are_usage_errors(run_cli, tmp_path):
@@ -420,6 +430,25 @@ def test_bad_polarisation_files_are_usage_errors(run_cli, tmp_path):
     ):
         bad.write_text(json.dumps(data))
         _assert_usage_error(run_cli(*args, "--polarisation", f"file:{bad}"))
+    bad.write_text("[" * 100_000)  # too deep for the JSON decoder
+    _assert_usage_error(run_cli(*args, "--polarisation", f"file:{bad}"))
+
+
+def test_searches_refuse_a_rule_table_too_long_to_build(run_cli, tmp_path):
+    # at m = 20,000 the rule table of (s, t) would spell 16 m^2 letters
+    pres = tmp_path / "big.json"
+    pres.write_text(
+        ArtinPresentation(("s", "t", "u"), {("s", "t"): 20_000, ("s", "u"): 2}).to_json()
+    )
+    for args in (
+        ("prove", "--presentation", str(pres), "--trivial", "s1 t1"),
+        ("families", "--case", "a", "--presentation", str(pres), "--left", "s1", "--right", "u1", "--verify"),
+    ):
+        t0 = time.perf_counter()
+        result = run_cli(*args)
+        assert time.perf_counter() - t0 < 1.0
+        _assert_usage_error(result)
+        assert f"more than {MAX_CERT_LETTERS}" in result[2]
 
 
 def test_unwritable_output_is_a_usage_error(run_cli, pres_files, tmp_path):

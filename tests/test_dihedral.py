@@ -277,6 +277,11 @@ def test_identity_ball_equals_a_plain_closure(m):
     assert "x" not in ball and "axA" not in ball
 
 
-def test_closure_refuses_a_nonempty_target():
-    with pytest.raises(ValueError):
-        closure(3, "ab", 6, 100, target="ba")
+def test_closure_start_decides_where_it_stops():
+    # a non-empty start stops on the empty string; the empty start runs
+    # to the whole ball
+    word = closure(3, "abaBAB", 6, 100)
+    assert word.reached_target and "" not in word.states
+    ball = closure(3, "", 6, 10_000)
+    assert not ball.reached_target and ball.complete
+    assert ball.states == identity_ball(3, 6).reps

@@ -233,6 +233,17 @@ def test_read_off_rejects_invalid_directions(patch333):
         read_off_generators(patch333, d)
 
 
+def test_read_off_rejects_invalid_square_directions():
+    from artinflats.tiling import DirectedEdge
+
+    patch = scaled_patch(TriangleType.SQUARE, 2)
+    d = standard_directions(patch)
+    e = patch.edges[0]
+    d[0] = DirectedEdge(e.v if d[0].source == e.u else e.u, d[0].label)
+    with pytest.raises(ValueError):
+        read_off_generators(patch, d)
+
+
 def test_read_off_matches_case_on_sampled_assignments():
     # the full per-type histograms run in test_acceptance; spot-check a
     # deterministic sample that includes label-2 assignments here
