@@ -34,7 +34,7 @@ from artinflats.polarisation import (
     polarisation_to_json,
 )
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import MAX_CERT_LETTERS, Budget, Certificate, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
 from artinflats.subgroups import FAMILY_CASES, family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
     DirectionAssignment,
@@ -420,7 +420,7 @@ def cmd_replay(args) -> int:
         raise UsageError(f"cannot read certificate: {exc}")
     try:
         cert = Certificate.from_json(text)
-    except Exception as exc:
+    except ReplayError as exc:
         print(f"certificate does not parse: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     if not replay(cert):
@@ -528,8 +528,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_budget_args(p) -> None:
-    p.add_argument("--max-states", type=_positive_int, default=60_000)
-    p.add_argument("--max-len", type=_positive_int, default=64)
+    p.add_argument("--max-states", type=_positive_int, default=DEFAULT_BUDGET.max_states)
+    p.add_argument("--max-len", type=_positive_int, default=DEFAULT_BUDGET.max_len)
 
 
 def build_parser() -> argparse.ArgumentParser:

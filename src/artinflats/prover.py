@@ -19,18 +19,19 @@ search's table; they are converted to windows for m <= V1_MAX_M.
 The search works on freely reduced letter tuples.  A transition is a
 rule application or a whole-relator insertion followed by free
 reduction; each transition expands deterministically into elementary
-moves.  Equality searches run bidirectionally and meet in the middle.
-A word given to a search has at most MAX_CERT_LETTERS letters, and so
-has the rule table of each relator: 16 m^2 letters, so m <= 250.
+moves.  A word given to a search has at most MAX_CERT_LETTERS letters,
+and so has the rule table of each relator: 16 m^2 letters, so m <= 250.
 
-Every strategy climbs one ladder.  A conjugated word c^-1 x c has its
-conjugator peeled one letter per layer, each layer's small search
-stopping at the first word no longer than the core; that keeps the
-words short enough to meet the target in the middle, and a failed peel
-ends the ladder.  A word with nothing to peel meets the target by one
-direct search.  `prove_trivial` first tries a commutator split,
-`prove_equal` last proves u v^-1 trivial.  The rule table is built once
-per presentation.
+There is one best-first search, shortest word first.  From one root it
+stops at the first word no longer than a goal; from a (source, target)
+pair it grows the smaller side until the two sides meet in the middle.
+Every strategy climbs one ladder over (conj, core), the nesting
+conj^-1 core conj.  The conjugator is peeled one letter per layer, each
+layer a one-root search for a word no longer than the core; that keeps
+the words short enough for the two-root search to meet the target, and
+an empty conj leaves that search alone.  `prove_trivial` first tries a
+commutator split, `prove_equal` last proves u v^-1 trivial.  The rule
+table is built once per presentation.
 
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
@@ -307,7 +308,7 @@ class Certificate:
             version, moves = data["version"], data["moves"]
             pres = ArtinPresentation.from_dict(data["presentation"])
             start, end = (Word.parse(data[key]) for key in ("start", "end"))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ReplayError(f"bad certificate: {exc!r}") from None
         _strict(
             type(version) is int and version in (1, CERTIFICATE_VERSION),
@@ -504,7 +505,7 @@ def _transitions(rules: _Rules, letters: tuple[int, ...], max_len: int):
                     yield a + b + c, ("insert", pos, pair, variant)
 
 
-def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tuple[tuple[Move, ...], tuple[Letter, ...]]:
+def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tuple[Move, ...]:
     """Turn one search transition into elementary moves from `letters`."""
     kind, pos, pair, variant = op
     u, v = relator_rules(pres, *pair)[variant]
@@ -517,9 +518,8 @@ def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tupl
         moves.extend(Move("insert", pos + j, letter=l) for j, l in enumerate(v))
         moves.append(Move("relator", pos, rule=(v, u)))
         mid = letters[:pos] + u + _inv_word(v) + letters[pos:]
-    red, rmoves = reduction_moves(mid)
-    moves.extend(rmoves)
-    return tuple(moves), red
+    moves.extend(reduction_moves(mid)[1])
+    return tuple(moves)
 
 
 def _reconstruct(parents: dict, state: tuple) -> list:
@@ -535,82 +535,59 @@ def _reconstruct(parents: dict, state: tuple) -> list:
     return chain
 
 
-def _ops_to_moves(pres: ArtinPresentation, rules: _Rules, chain: list) -> tuple[Move, ...]:
-    return tuple(mv for prev, op in chain for mv in _expand_op(pres, rules.decode(prev), op)[0])
+def _search(
+    pres: ArtinPresentation, roots: tuple, budget: Budget, goal: int
+) -> tuple[tuple[Letter, ...], tuple[Move, ...]] | None:
+    """Best-first search, shortest word first, from the freely reduced
+    `roots`: one start word, or a pair (source, target).
 
-
-def _bidirectional_search(
-    pres: ArtinPresentation,
-    source: tuple[Letter, ...],
-    target: tuple[Letter, ...],
-    budget: Budget,
-) -> tuple[Move, ...] | None:
-    """Moves transforming `source` into `target` (both freely reduced),
-    or None if the budget is exhausted first."""
-    if source == target:
-        return ()
-    rules = _rule_table(pres)
-    sides = tuple(
-        {"parents": {root: (None, None)}, "heap": [(len(root), 0, root)]}
-        for root in (rules.encode(source), rules.encode(target))
-    )
-    visited_total = 2
-
-    def assemble(meet: tuple) -> tuple[Move, ...]:
-        fwd, back = (_ops_to_moves(pres, rules, _reconstruct(side["parents"], meet)) for side in sides)
-        return fwd + _undo(back)  # back: target -> meet
-
-    while (sides[0]["heap"] or sides[1]["heap"]) and visited_total < budget.max_states:
-        idx = 0 if sides[0]["heap"] and (
-            not sides[1]["heap"] or len(sides[0]["parents"]) <= len(sides[1]["parents"])
-        ) else 1
-        side, other = sides[idx], sides[1 - idx]
-        ln, depth, state = heapq.heappop(side["heap"])
-        for nxt, op in _transitions(rules, state, budget.max_len):
-            if nxt in side["parents"]:
-                continue
-            side["parents"][nxt] = (state, op)
-            visited_total += 1
-            if nxt in other["parents"]:
-                return assemble(nxt)
-            heapq.heappush(side["heap"], (len(nxt), depth + 1, nxt))
-            if visited_total >= budget.max_states:
-                break
-    return None
-
-
-def _best_effort_shorten(
-    pres: ArtinPresentation, start: tuple[Letter, ...], budget: Budget, goal: int
-) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:
-    """Small single-sided search for a word of at most `goal` letters.
-
-    Returns `start` itself when it is that short.  Otherwise it stops at
-    the first successor generated with at most `goal` letters and
-    returns it with the moves to it.  The search holds at most
-    `budget.max_states` states; one that never reaches the goal returns
-    the (len, word)-smallest state it expanded, falling back to `start`.
+    From one root it stops at the first word of at most `goal` letters,
+    the root itself included, and returns (word, moves to it); when the
+    budget is spent it returns the (len, word)-smallest state it
+    expanded.  From two roots, with `goal` -1, it grows the side that
+    holds fewer states and stops when a new state is already held by the
+    other side, returning (target, moves source -> target), or None when
+    the budget is spent.  The sides together hold at most
+    `budget.max_states` states.
     """
-    if len(start) <= goal:
-        return start, ()
+    source, *target = roots
+    if len(source) <= goal or target == [source]:
+        return source, ()
     rules = _rule_table(pres)
-    root = rules.encode(start)
-    parents = {root: (None, None)}
-    heap = [(len(root), 0, root)]
-    best = root
-    while heap and len(parents) < budget.max_states:
-        ln, depth, state = heapq.heappop(heap)
+    codes = [rules.encode(root) for root in roots]
+    parents = [{code: (None, None)} for code in codes]
+    heaps = [[(len(code), 0, code)] for code in codes]
+    if not target:
+        parents.append({})
+        heaps.append([])
+    held, best = len(codes), codes[0]
+
+    def path(side: int, state: tuple) -> tuple[Move, ...]:
+        chain = _reconstruct(parents[side], state)
+        return tuple(mv for prev, op in chain for mv in _expand_op(pres, rules.decode(prev), op))
+
+    def finish(state: tuple):
+        if target:
+            return target[0], path(0, state) + _undo(path(1, state))
+        return rules.decode(state), path(0, state)
+
+    while (heaps[0] or heaps[1]) and held < budget.max_states:
+        side = 0 if heaps[0] and (not heaps[1] or len(parents[0]) <= len(parents[1])) else 1
+        seen, other, heap = parents[side], parents[1 - side], heaps[side]
+        _, depth, state = heapq.heappop(heap)
         if (len(state), state) < (len(best), best):
             best = state
         for nxt, op in _transitions(rules, state, budget.max_len):
-            if nxt in parents:
+            if nxt in seen:
                 continue
-            parents[nxt] = (state, op)
-            if len(nxt) <= goal:
-                return rules.decode(nxt), _ops_to_moves(pres, rules, _reconstruct(parents, nxt))
+            seen[nxt] = (state, op)
+            held += 1
+            if len(nxt) <= goal or other and nxt in other:  # a lone root's other side is empty
+                return finish(nxt)
             heapq.heappush(heap, (len(nxt), depth + 1, nxt))
-            if len(parents) >= budget.max_states:
+            if held >= budget.max_states:
                 break
-    return rules.decode(best), _ops_to_moves(pres, rules, _reconstruct(parents, best))
+    return None if target else finish(best)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +614,7 @@ def _conjugation_chain(
         total_moves = list(_shift_moves(tuple(total_moves), 1))
         red, red_moves = reduction_moves(raw)
         total_moves.extend(red_moves)
-        h, short_moves = _best_effort_shorten(pres, red, layer_budget, len(core))
+        h, short_moves = _search(pres, (red,), layer_budget, len(core))
         total_moves.extend(short_moves)
     return tuple(total_moves), h
 
@@ -658,13 +635,17 @@ def _find_commutator_split(letters: tuple[Letter, ...]):
     return None
 
 
-def _conjugator_prefix(letters: tuple[Letter, ...]) -> int:
-    """Largest k with letters = c^-1 x c, |c| = k (possibly 0)."""
-    n = len(letters)
+def _peel(red: tuple[Letter, ...], target: tuple[Letter, ...]):
+    """(conj, core) with red = conj^-1 core conj for the longest such
+    conj, when it has at least two letters and red is longer than
+    `target`; else ((), red), which the ladder searches directly."""
+    n = len(red)
     k = 0
-    while 2 * (k + 1) < n and letters[k] == _inv(letters[n - 1 - k]):
+    while 2 * (k + 1) < n and red[k] == _inv(red[n - 1 - k]):
         k += 1
-    return k
+    if k < 2 or n <= len(target):
+        return (), red
+    return _inv_word(red[:k]), red[k : n - k]
 
 
 DEFAULT_BUDGET = Budget()
@@ -672,31 +653,21 @@ DEFAULT_BUDGET = Budget()
 
 def _search_ladder(
     pres: ArtinPresentation,
-    red: tuple[Letter, ...],
+    conj: tuple[Letter, ...],
+    core: tuple[Letter, ...],
     target: tuple[Letter, ...],
     budget: Budget,
-    peel: tuple | None = None,
 ) -> tuple[Move, ...] | None:
-    """Moves from the freely reduced `red` to `target`, or None.
+    """Moves from the nesting conj^-1 core conj to `target`, or None.
 
-    A peel (restore, conj, core) has `restore` rewrite red into the
-    nesting conj^-1 core conj; by default red = p x p^-1 is peeled by its
-    conjugator prefix p when |p| >= 2 and red is longer than `target`.
-    The conjugator is peeled layer by layer and the short result meets
-    `target`; without a peel, one direct search meets `target` from
-    `red`.
+    The conjugator is peeled layer by layer, each layer searching with
+    at most 4,000 states, and the short result meets `target` in the
+    middle; an empty `conj` leaves one direct search from `core`.
     """
-    if peel is None:
-        k = _conjugator_prefix(red)
-        if k >= 2 and len(red) > len(target):
-            peel = (), _inv_word(red[:k]), red[k : len(red) - k]
-    if peel is not None:
-        restore, conj, core = peel
-        layer_budget = Budget(max_states=min(4000, budget.max_states), max_len=budget.max_len)
-        chain_moves, h = _conjugation_chain(pres, conj, core, layer_budget)
-        tail = _bidirectional_search(pres, h, target, budget)
-        return None if tail is None else restore + chain_moves + tail
-    return _bidirectional_search(pres, red, target, budget)
+    layer_budget = Budget(max_states=min(4000, budget.max_states), max_len=budget.max_len)
+    chain_moves, h = _conjugation_chain(pres, conj, core, layer_budget)
+    found = _search(pres, (h, target), budget, -1)
+    return None if found is None else chain_moves + found[1]
 
 
 def prove_conjugation(
@@ -709,13 +680,12 @@ def prove_conjugation(
     the conjugator is peeled letter by letter."""
     gl, xl = _search_letters(g), _search_letters(x)
     raw = gl + xl + _inv_word(gl)
-    red, red_moves = reduction_moves(raw)
     # Peel the conjugator from the inside: the word is
     # (g^-1)^-1 x (g^-1), so the chain argument is g^-1.
-    moves = _search_ladder(pres, red, xl, budget, (_undo(red_moves), _inv_word(gl), xl))
+    moves = _search_ladder(pres, _inv_word(gl), xl, xl, budget)
     if moves is None:
         return None
-    return Certificate(pres, Word.from_letters(raw), x, moves)
+    return Certificate(pres, Word.from_letters(raw), x, _undo(reduction_moves(raw)[1]) + moves)
 
 
 def prove_commutator(
@@ -792,7 +762,7 @@ def prove_trivial(pres: ArtinPresentation, w: Word, budget: Budget = DEFAULT_BUD
         comm = prove_commutator(pres, Word.from_letters(p), Word.from_letters(q), budget)
         if comm is not None:
             return Certificate(pres, w, Word(), comm.moves)
-    moves = _search_ladder(pres, letters, (), budget)
+    moves = _search_ladder(pres, *_peel(letters, ()), (), budget)
     if moves is None:
         return None
     return Certificate(pres, w, Word(), moves)
@@ -805,7 +775,7 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
     u v^-1 trivial and repackages (insert v^-1 v at the end of u, erase
     the u v^-1 prefix, leaving v)."""
     ul, vl = _search_letters(u), _search_letters(v)
-    moves = _search_ladder(pres, ul, vl, budget)
+    moves = _search_ladder(pres, *_peel(ul, vl), vl, budget)
     if moves is not None:
         return Certificate(pres, u, v, moves)
     triv = prove_trivial(pres, u * v.inverse(), budget)

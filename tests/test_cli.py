@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import artinflats
+from artinflats.cli import build_parser
 from artinflats.presentation import ArtinPresentation
-from artinflats.prover import MAX_CERT_LETTERS, V1_MAX_M, Certificate, ReplayError, replay
+from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, V1_MAX_M, Budget, Certificate, ReplayError, replay
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,6 +234,12 @@ def test_replay_rejects_tampering(run_cli, pres_files, tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert run_cli("replay", str(garbage))[0] == 2
+    # JSON nested deeper than the parser's recursion limit
+    garbage.write_text("[" * 100_000)
+    with pytest.raises(ReplayError):
+        Certificate.from_json(garbage.read_text())
+    code, out, err = run_cli("replay", str(garbage))
+    assert code == 2 and out == "" and "Traceback" not in err
     assert run_cli("replay", str(tmp_path / "missing.json"))[0] == 1
 
 
@@ -337,6 +344,8 @@ def test_budget_args_reject_values_below_one(run_cli, pres_files):
     code, _, err = run_cli(*args, "--max-len", "-3")
     assert code == 1 and "--max-len" in err
     assert run_cli("families", "--case", "b", "--exponents", "1", "--max-states", "0")[0] == 1
+    parsed = build_parser().parse_args(args)
+    assert Budget(parsed.max_states, parsed.max_len) == DEFAULT_BUDGET
 
 
 def test_families(run_cli, pres_files, tmp_path):

@@ -26,11 +26,11 @@ from artinflats.prover import (
     WordTooLongError,
     _inv_word,
     _Rules,
-    _best_effort_shorten,
     _check_window,
     _conjugation_chain,
     _find_commutator_split,
     _rules_for,
+    _search,
     _splice,
     _transitions,
     apply_move,
@@ -309,7 +309,7 @@ def test_layer_search_holds_at_most_its_budget(m3, e333, parent_sizes):
         start = tuple(Word.parse(text).letters())
         for max_states in (1, 2, 3, 7, 50, 4000):
             parent_sizes.clear()
-            word, moves = _best_effort_shorten(pres, start, Budget(max_states=max_states), -1)
+            word, moves = _search(pres, (start,), Budget(max_states=max_states), -1)
             assert parent_sizes == [max_states]
             assert word == start and moves == ()
 
@@ -324,13 +324,13 @@ def test_layer_search_stops_at_the_goal(e333, parent_sizes):
     # reaches the goal pushes no state after it
     parent_sizes.clear()
     start = tuple(Word.parse("s1 t1 s1 t-1 s-1 t-1").letters())
-    word, moves = _best_effort_shorten(e333, start, Budget(max_states=4000), goal=0)
+    word, moves = _search(e333, (start,), Budget(max_states=4000), goal=0)
     assert word == ()
     assert parent_sizes and parent_sizes[0] < 100
     cert = Certificate(e333, Word.from_letters(start), Word(), moves)
     assert replay(cert)
     # a start that already meets the goal is returned as it is
-    assert _best_effort_shorten(e333, start, Budget(max_states=4000), goal=6) == (start, ())
+    assert _search(e333, (start,), Budget(max_states=4000), goal=6) == (start, ())
 
 
 def reference_commutator_split(letters):

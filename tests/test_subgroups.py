@@ -7,6 +7,7 @@ patches.  Move counts of searched certificates are deterministic and
 frozen as regression values.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from artinflats.prover import (
     SearchBudgetError,
     invert_certificate,
     mirror_certificate,
+    prove_commutator,
     replay,
 )
 from artinflats.subgroups import (
@@ -174,6 +176,24 @@ def test_klein_pair_and_composite():
             list(a2.inverse().letters()) + list(pair.gprime.letters()) + list(a2.letters())
         )
         assert comp.end == pair.gprime
+
+
+# sha256 over the to_json() texts, joined by newlines, of the VERIFY_MOVES
+# certificates, the relation, product and composite of klein_pair(k) for
+# k = 1, -1, 2, -2, and the README's `prove --commutator` certificate:
+# the search must reproduce each certificate byte for byte, not only its
+# move count
+CERTIFICATE_SHA256 = "d5c9b6683542b31cd863cc519e95c165fb1f2fbac566056d060ac2cd28ca2204"
+
+
+def test_certificate_bytes_are_pinned(m3):
+    certs = [verify_abelian(case, list(exps)) for case, exps in VERIFY_MOVES]
+    for k in (1, -1, 2, -2):
+        pair = klein_pair(k)
+        certs += [pair.relation, pair.product, klein_composite(pair)]
+    certs.append(prove_commutator(m3, Word.parse("s1 t1 s1 s1 t1 s1"), Word.parse("t-1 s1 t1")))
+    text = "\n".join(cert.to_json() for cert in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
 
 
 def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
