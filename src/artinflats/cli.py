@@ -42,7 +42,6 @@ from artinflats.tiling import (
     TooManyAssignmentsError,
     TriangleType,
     enumerate_consistent_directions,
-    minimal_patch,
     scaled_patch,
     standard_directions,
     validate_directions,
@@ -92,15 +91,8 @@ def _parse_word(text: str, pres: ArtinPresentation | None = None) -> Word:
     return w
 
 
-def _triangle_type(name: str) -> TriangleType:
-    try:
-        return TriangleType[name]
-    except KeyError:
-        raise UsageError(f"unknown triangle type {name!r}")
-
-
 def _build_patch(args) -> Patch:
-    tt = _triangle_type(args.type)
+    tt = TriangleType[args.type]  # argparse's choices refuse any other name
     try:
         if args.lattice:
             rows = [tuple(int(c) for c in row.split(",")) for row in args.lattice.split(";")]
@@ -109,8 +101,6 @@ def _build_patch(args) -> Patch:
             return Patch(tt, (rows[0], rows[1]))
         if args.scale < 1:
             raise UsageError("scale must be >= 1")
-        if args.scale == 1:
-            return minimal_patch(tt)
         return scaled_patch(tt, args.scale)
     except ValueError as exc:
         raise UsageError(f"cannot build {tt.name} patch: {exc}")

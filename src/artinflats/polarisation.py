@@ -98,20 +98,16 @@ def is_admissible(patch: Patch, l: Polarisation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _induced_unchecked(patch: Patch, d: DirectionAssignment) -> Polarisation:
+def induced(patch: Patch, d: DirectionAssignment) -> Polarisation:
+    report = validate_directions(patch, d)
+    if not report.ok:
+        raise ValueError(f"direction data inconsistent: {report.violations}")
     l: Polarisation = {}
     for cell in patch.cells:
         n = len(cell.edges)
-        outgoing = []
-        for k in range(n):
-            de = d[cell.edges[k]]
-            outgoing.append(de.source == cell.vertices[k])
-        sources = [
-            k for k in range(n) if outgoing[k] and not outgoing[(k - 1) % n]
-        ]
-        sinks = [
-            k for k in range(n) if not outgoing[k] and outgoing[(k - 1) % n]
-        ]
+        outgoing = [d[ei].source == v for v, ei in zip(cell.vertices, cell.edges)]
+        sources = [k for k in range(n) if outgoing[k] and not outgoing[k - 1]]
+        sinks = [k for k in range(n) if not outgoing[k] and outgoing[k - 1]]
         if len(sources) != 1 or len(sinks) != 1:
             raise ValueError(
                 f"cell {cell.index} boundary has {len(sources)} sources; not consistently directed"
@@ -121,13 +117,6 @@ def _induced_unchecked(patch: Patch, d: DirectionAssignment) -> Polarisation:
             raise ValueError(f"cell {cell.index} source and sink are not opposite")
         l[cell.index] = min(src, snk)
     return l
-
-
-def induced(patch: Patch, d: DirectionAssignment) -> Polarisation:
-    report = validate_directions(patch, d)
-    if not report.ok:
-        raise ValueError(f"direction data inconsistent: {report.violations}")
-    return _induced_unchecked(patch, d)
 
 
 # ---------------------------------------------------------------------------

@@ -263,19 +263,6 @@ class Word:
             seen.setdefault(s.generator, None)
         return tuple(sorted(seen))
 
-    def rotate(self, r: int) -> "Word":
-        """Cyclic rotation at syllable level: syllable r becomes first.
-
-        The result is only syllable-reduced when the first and last
-        generators differ, which holds for the alternating words this
-        is used on.
-        """
-        n = len(self.syllables)
-        if n == 0:
-            return self
-        r %= n
-        return reduce(self.syllables[r:] + self.syllables[:r])
-
     def substitute(self, mapping: dict[str, str]) -> "Word":
         """Rename generators; the result is re-reduced."""
         return reduce((mapping.get(s.generator, s.generator), s.exponent) for s in self.syllables)

@@ -12,9 +12,11 @@ a^-1 g a = g^-1 together with its certificate.
 `read_off_generators` closes the loop with the tiling side: given a
 periodic patch with a consistent direction assignment, it derives the
 induced polarisation, walks the quotient graph and reads off a generator
-pair -- the first word along a combinatorial axis of a rigidity-witness
-translation, the second along a transverse type-preserving translation
--- and the result always lands in the family of the patch's triangle
+pair.  Each walk follows the direction labels; the first word's
+displacement is plus or minus the minimal type-preserving multiple of a
+rigidity-witness translation rho, and the second word's displacement is
+transverse to it.  Nothing checks whether the second word acts as a
+translation.  The pair lands in the family of the patch's triangle
 shape, up to the symmetries of the exponent matrix.
 """
 
@@ -254,35 +256,27 @@ def klein_composite(pair: KleinPair) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _walk_word(
-    patch: Patch, d: DirectionAssignment, start: int, word: Word
-) -> tuple[int, Vec] | None:
+def _walk_word(patch: Patch, d: DirectionAssignment, start: int, word: Word) -> Vec | None:
     """Walk `word` from `start`, one edge per syllable; a k-syllable
     must cross a k-long edge in the matching direction.  Returns the
-    final vertex and the lifted displacement, or None when some
-    crossing disagrees with the direction assignment."""
+    lifted displacement, or None when some crossing disagrees with the
+    direction assignment.
+
+    The end of the walk needs no check: every stored position is reduced
+    modulo the patch lattice, and each edge steps between its ends'
+    positions by its delta, so a walk always ends at
+    `patch.translate_vertex(start, displacement)`."""
     v = start
     x = y = 0
     for syl in word.syllables:
         edge = patch._edge_at(v, syl.generator)
-        de = d[edge.index]
-        sign = 1 if de.source == v else -1
-        if sign * de.label != syl.exponent:
+        if d[edge.index].signed(v) != syl.exponent:
             return None
         dx, dy = edge.delta_from(v)
         x += dx
         y += dy
         v = edge.other(v)
-    return v, (x, y)
-
-
-def _is_lattice_translation(patch: Patch, v0: int, vend: int, delta: Vec) -> bool:
-    """Whether the walk from v0 to vend with lifted displacement delta
-    is a translation of the patch (rather than a glide or rotation)."""
-    try:
-        return vend == patch.translate_vertex(v0, delta)
-    except KeyError:
-        return False
+    return x, y
 
 
 def _find_transverse(
@@ -298,13 +292,8 @@ def _find_transverse(
         for instance in template.members(factors, bound):
             w = instance.substitute(sym)
             for cand in (w, w.inverse()):
-                res = _walk_word(patch, d, v0, cand)
-                if res is None:
-                    continue
-                vend, delta2 = res
-                if delta1[0] * delta2[1] - delta1[1] * delta2[0] == 0:
-                    continue
-                if _is_lattice_translation(patch, v0, vend, delta2):
+                delta2 = _walk_word(patch, d, v0, cand)
+                if delta2 is not None and delta1[0] * delta2[1] != delta1[1] * delta2[0]:
                     return cand
     return None
 
@@ -318,8 +307,7 @@ def _read_off_square(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
         total = 0
         for _ in range(patch.vertex_count() + 1):
             edge = patch.edges[patch.edge_by_step[v, step]]
-            de = d[edge.index]
-            total += de.label if de.source == v else -de.label
+            total += d[edge.index].signed(v)
             v = edge.other(v)
             if v == 0:
                 break
@@ -336,13 +324,16 @@ def _read_off_square(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
 def read_off_generators(patch: Patch, d: DirectionAssignment) -> tuple[Word, Word]:
     """Generator pair read off a consistently directed periodic patch.
 
-    The first word is read along a combinatorial axis of a rigidity
-    witness translation of the induced polarisation (crossing only short
-    edges, so it is one of the fixed first generators up to
-    exponent-matrix symmetry and inversion); the second along a
-    transverse type-preserving translation, giving a member of the
-    matching factor language.  An inconsistent assignment raises
-    ValueError.
+    Each word is walked from one vertex, and every crossing must follow
+    the direction labels.  The first word is a fixed first generator
+    of a family of the patch's shape, up to exponent-matrix symmetry and
+    inversion, whose displacement is plus or minus the minimal
+    type-preserving multiple of a rigidity witness translation rho of
+    the induced polarisation.  The second is a member of the matching
+    factor language, walked from the same vertex, whose displacement is
+    transverse to the first.  Nothing checks whether the second word
+    acts on the patch as a translation.  An inconsistent assignment
+    raises ValueError.
     """
     tt = patch.triangle_type
     if tt == TriangleType.SQUARE:
@@ -360,13 +351,8 @@ def read_off_generators(patch: Patch, d: DirectionAssignment) -> tuple[Word, Wor
                 image = fam.w1.substitute(sym)
                 for w1 in (image, image.inverse()):
                     for v0 in range(patch.vertex_count()):
-                        res = _walk_word(patch, d, v0, w1)
-                        if res is None:
-                            continue
-                        vend, delta1 = res
+                        delta1 = _walk_word(patch, d, v0, w1)
                         if delta1 not in (target, (-target[0], -target[1])):
-                            continue
-                        if not _is_lattice_translation(patch, v0, vend, delta1):
                             continue
                         w2 = _find_transverse(patch, d, v0, fam.template, sym, delta1, bound)
                         if w2 is not None:

@@ -491,9 +491,6 @@ class Patch:
             out.append(tuple(pos))
         return out
 
-    def opposite_position(self, cell: Cell, k: int) -> int:
-        return (k + cell.m) % (2 * cell.m)
-
 
 def minimal_patch(tt: TriangleType) -> Patch:
     return Patch(tt, translation_lattice(tt))
@@ -588,6 +585,11 @@ class DirectedEdge:
     source: int
     label: int  # k >= 1
 
+    def signed(self, vertex: int) -> int:
+        """The label read from `vertex`, negated when the edge points
+        into it."""
+        return self.label if self.source == vertex else -self.label
+
 
 DirectionAssignment = dict[int, DirectedEdge]
 
@@ -632,12 +634,7 @@ def _cell_table(m: int) -> frozenset[tuple[int, ...]]:
 
 
 def _cell_signature(patch: Patch, cell: Cell, d: DirectionAssignment) -> tuple[int, ...]:
-    sig = []
-    for k, ei in enumerate(cell.edges):
-        de = d[ei]
-        sign = 1 if de.source == cell.vertices[k] else -1
-        sig.append(sign * de.label)
-    return tuple(sig)
+    return tuple(d[ei].signed(v) for v, ei in zip(cell.vertices, cell.edges))
 
 
 def _cell_consistent(patch: Patch, cell: Cell, d: DirectionAssignment) -> bool:
@@ -658,19 +655,16 @@ def _cell_checks(patch: Patch, cell: Cell, d: DirectionAssignment) -> list[Viola
     if _cell_consistent(patch, cell, d):
         return []
     out = []
-    n = len(cell.edges)
-    for k in range(n):
-        ke = d[cell.edges[k]].label
-        if ke >= 2:
-            opp = cell.edges[patch.opposite_position(cell, k)]
-            if d[opp].label != ke:
-                out.append(
-                    Violation(
-                        "long-pairing",
-                        cell.index,
-                        f"label {ke} at position {k} not mirrored opposite",
-                    )
+    labels = [d[ei].label for ei in cell.edges]
+    for k, ke in enumerate(labels):
+        if ke >= 2 and labels[k - cell.m] != ke:  # the opposite edge
+            out.append(
+                Violation(
+                    "long-pairing",
+                    cell.index,
+                    f"label {ke} at position {k} not mirrored opposite",
                 )
+            )
     out.append(Violation("cell-word", cell.index, f"boundary spells {boundary_word(patch, cell, d)}"))
     return out
 

@@ -443,6 +443,22 @@ def test_bad_polarisation_files_are_usage_errors(run_cli, tmp_path):
     _assert_usage_error(run_cli(*args, "--polarisation", f"file:{bad}"))
 
 
+def test_bad_patch_arguments_are_usage_errors(run_cli, tmp_path):
+    svg = tmp_path / "x.svg"
+    for command in (("polarisations",), ("render", "-o", str(svg))):
+        for patch_args in (
+            ("--type", "E999"),
+            ("--type", "E333", "--scale", "0"),
+            ("--type", "E333", "--scale", "-3"),
+            ("--type", "E333", "--lattice", "1,2,3;4,5"),
+            ("--type", "E333", "--lattice", "a,b;c,d"),
+        ):
+            result = run_cli(*command, *patch_args)
+            _assert_usage_error(result)
+            assert result[1] == "" and len(result[2].splitlines()) == 1, (command, patch_args)
+    assert not svg.exists()
+
+
 def test_searches_refuse_a_rule_table_too_long_to_build(run_cli, tmp_path):
     # at m = 20,000 the rule table of (s, t) would spell 16 m^2 letters
     pres = tmp_path / "big.json"

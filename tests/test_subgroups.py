@@ -280,6 +280,26 @@ def test_read_off_matches_case_on_sampled_assignments():
     assert seen_long
 
 
+# sha256 over the lines f"{name}x{scale} {i} {w1} | {w2}", joined by
+# newlines, one per validating assignment i of
+# enumerate_consistent_directions on E333/E244/E236 x1 and E333 x2: the
+# read-off must reproduce every pair, not only the case histograms
+READ_OFF_SHA256 = "780e392ecc86609b5cee6eb1957a540634d67b9216e5b7c33ddd5de2fd70c4f4"
+
+
+def test_read_off_pairs_are_pinned():
+    lines = []
+    for name, scale in (("E333", 1), ("E244", 1), ("E236", 1), ("E333", 2)):
+        tt = TriangleType[name]
+        patch = minimal_patch(tt) if scale == 1 else scaled_patch(tt, scale)
+        for i, d in enumerate(enumerate_consistent_directions(patch)):
+            if validate_directions(patch, d).ok:
+                w1, w2 = read_off_generators(patch, d)
+                lines.append(f"{name}x{scale} {i} {w1} | {w2}")
+    assert len(lines) == 204
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == READ_OFF_SHA256
+
+
 def test_read_off_square_periods():
     for k, expect in ((2, ("s2", "t2")), (3, ("s3", "t3"))):
         patch = scaled_patch(TriangleType.SQUARE, k)

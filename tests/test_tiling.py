@@ -146,6 +146,28 @@ def test_edge_by_step_indexes_both_ends_of_every_edge(name, lattice):
             assert patch.edge_by_step[v, e.delta_from(v)] == e.index
 
 
+@pytest.mark.parametrize(
+    "name, scale",
+    [(name, k) for name in ("E333", "E244", "E236") for k in (1, 2, 3)]
+    + [("SQUARE", k) for k in (2, 3, 4)],
+)
+def test_every_edge_walk_ends_at_its_translate(name, scale):
+    # positions are stored modulo the lattice and each edge steps between
+    # its ends' positions by its delta, so any walk is the translation by
+    # its summed displacement: the read-off relies on this and does not
+    # check where a word's walk ends
+    patch = scaled_patch(TriangleType[name], scale)
+    rng = random.Random(f"{name}x{scale}")
+    for _ in range(200):
+        start = v = rng.randrange(patch.vertex_count())
+        x = y = 0
+        for _ in range(rng.randint(1, 40)):
+            e = patch.edges[rng.choice(patch.vertex_edges[v])]
+            dx, dy = e.delta_from(v)
+            x, y, v = x + dx, y + dy, e.other(v)
+        assert v == patch.translate_vertex(start, (x, y))
+
+
 def test_scaled_patch_grows_quadratically():
     p1 = minimal_patch(TriangleType.E333)
     p2 = scaled_patch(TriangleType.E333, 2)
