@@ -33,8 +33,13 @@ their products), so the closure works on orbits: it stores and expands
 only each orbit's canonical representative, the least of its eight
 images, and its `visited_count` counts representatives.  An
 `IdentityBall` keeps the representatives and answers `in` by
-canonicalising.  The two implementations share no code and are played
-against each other in the tests.
+canonicalising.  From the empty string the closure first expands no
+cancels.  Inserts and the cancels that undo them correspond one to
+one, so once inserts and rewrites are exhausted, one count (adjacent
+inverse pairs against insert positions, see `closure`) shows whether
+every cancel stays in the set; only if one leaves does the closure go
+on with cancels.  The two implementations share no code and are played against
+each other in the tests.
 """
 
 from __future__ import annotations
@@ -261,12 +266,17 @@ def word_to_string(pres: ArtinPresentation, word: Word) -> str:
     return "".join(chars)
 
 
-def _neighbours(state: str, rules: dict[str, tuple[str, ...]], max_len: int) -> list[str]:
+def _neighbours(state: str, rules: dict[str, tuple[str, ...]], max_len: int, cancels: bool = True) -> list[str]:
+    """Every string one move from `state`: cancels (when `cancels`), then
+    rewrites, then inserts, each from left to right.  The insert x^-1 x
+    right after a letter x is left out: it spells the same string as the
+    insert x x^-1 one position earlier, which is already listed."""
     out = []
     n = len(state)
-    for i in range(n - 1):
-        if state[i] == state[i + 1].swapcase() and state[i] != state[i + 1]:
-            out.append(state[:i] + state[i + 2 :])
+    if cancels:
+        for i in range(n - 1):
+            if state[i] == state[i + 1].swapcase() and state[i] != state[i + 1]:
+                out.append(state[:i] + state[i + 2 :])
     m = len(next(iter(rules))) if rules else 0
     if m:
         for i in range(n - m + 1):
@@ -276,9 +286,20 @@ def _neighbours(state: str, rules: dict[str, tuple[str, ...]], max_len: int) -> 
                     out.append(state[:i] + v + state[i + m :])
     if n + 2 <= max_len:
         for i in range(n + 1):
-            for pair in ("aA", "Aa", "bB", "Bb"):
-                out.append(state[:i] + pair + state[i:])
+            head, tail = state[:i], state[i:]
+            out.extend([head + pair + tail for pair in _INSERTS[state[i - 1] if i else ""]])
     return out
+
+
+# The inverse pairs inserted after each letter ("" at the start of the
+# string), in listing order, without the repeat x^-1 x after x.
+_INSERTS = {
+    "": ("aA", "Aa", "bB", "Bb"),
+    "a": ("aA", "bB", "Bb"),
+    "A": ("Aa", "bB", "Bb"),
+    "b": ("aA", "Aa", "bB"),
+    "B": ("aA", "Aa", "Bb"),
+}
 
 
 # The eight string symmetries: a letter permutation that swaps a with b,
@@ -306,7 +327,7 @@ def _canonical(s: str) -> str:
     """
     if not s:
         return s
-    forward = s.translate(_TO_A[s[0]])
+    forward = s if s[0] == "A" else s.translate(_TO_A[s[0]])
     backward = _reflected(s)
     return forward if forward <= backward else backward
 
@@ -331,6 +352,19 @@ class ClosureResult:
     states: set[str]
 
 
+def _closed_under_cancels(reps: set[str], max_len: int) -> bool:
+    """Whether every cancel out of the strings of `reps` (the union of
+    their orbits) lands among them, given that they are closed under
+    inserts within max_len.  See `closure` for the count."""
+    cancels = inserts = 0
+    for s in reps:
+        orbit = _orbit_size(s)
+        cancels += orbit * (s.count("aA") + s.count("Aa") + s.count("bB") + s.count("Bb"))
+        if len(s) + 2 <= max_len:
+            inserts += orbit * 4 * (len(s) + 1)
+    return cancels == inserts
+
+
 def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
     """Breadth-first closure of the move system from `start`, keeping
     every intermediate string at length <= max_len.  The start decides
@@ -342,16 +376,38 @@ def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
     `states` all count or hold representatives.  The empty string is the
     only string that every symmetry fixes, so it is the only target a
     representative can be matched against.
+
+    From the empty start the closure expands inserts and rewrites only,
+    then checks by an edge count that the strings S it reached (the
+    orbits of its representatives) are closed under cancels as well.
+    An insert edge (t, i, pair) puts `pair` into t at position i, making
+    s; the cancel edge (s, i) undoes it and gives back t and `pair`.  So
+    undoing is a one-to-one map from the insert edges of strings of
+    length <= max_len - 2 onto the cancel edges of strings of length
+    <= max_len.  S is closed under inserts, so the map sends the insert
+    edges out of S onto the cancel edges out of S that land in S.  The
+    cancel edges out of S, one per adjacent inverse pair of each s in S,
+    therefore number
+
+        sum over t in S with |t| <= max_len - 2 of  4 (|t| + 1),
+
+    the insert edges out of S, exactly when every cancel lands in S.
+    Both counts are invariant under the symmetries, so they are summed
+    over the representatives weighted by orbit size.  When they agree,
+    S is closed under all three moves and is the whole component of the
+    empty string, with no theorem about the moves needed; when they do
+    not, the same loop goes on from S with cancels switched on.
     """
     rules = balanced_rules(m)
     start = _canonical(start)
     seen = {start}
     queue = deque([start])
+    cancels = bool(start)
     complete = True
     found = False
     while queue and not found:
         state = queue.popleft()
-        for nxt in _neighbours(state, rules, max_len):
+        for nxt in _neighbours(state, rules, max_len, cancels):
             if len(nxt) > max_len:
                 continue
             nxt = _canonical(nxt)
@@ -365,6 +421,9 @@ def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
                 continue
             seen.add(nxt)
             queue.append(nxt)
+        if not (queue or cancels) and complete and not _closed_under_cancels(seen, max_len):
+            cancels = True
+            queue.extend(seen)
     return ClosureResult(
         reached_target=found,
         complete=complete,

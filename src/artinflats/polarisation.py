@@ -108,6 +108,12 @@ def induced(patch: Patch, d: DirectionAssignment) -> Polarisation:
         outgoing = [d[ei].source == v for v, ei in zip(cell.vertices, cell.edges)]
         sources = [k for k in range(n) if outgoing[k] and not outgoing[k - 1]]
         sinks = [k for k in range(n) if not outgoing[k] and outgoing[k - 1]]
+        # With labels 1 and 2 neither error below can fire: a consistent
+        # cell's signature is a row of tiling._cell_table, and every row
+        # for m = 2, 3, 4, 6 has one source and one sink, opposite each
+        # other (a test in tests/test_polarisation.py checks this).
+        # Labels of 3 or more are decided by the normal form and were
+        # never checked exhaustively, so the checks stay.
         if len(sources) != 1 or len(sinks) != 1:
             raise ValueError(
                 f"cell {cell.index} boundary has {len(sources)} sources; not consistently directed"

@@ -6,6 +6,7 @@ full cross-validation sweep lives in test_acceptance; here we pin the
 algebra and a sampled agreement check.
 """
 
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -16,6 +17,7 @@ from artinflats import dihedral
 from artinflats.dihedral import (
     OracleBudgetError,
     _canonical,
+    _closed_under_cancels,
     _neighbours,
     balanced_rules,
     bfs_oracle_is_trivial,
@@ -285,3 +287,69 @@ def test_closure_start_decides_where_it_stops():
     ball = closure(3, "", 6, 10_000)
     assert not ball.reached_target and ball.complete
     assert ball.states == identity_ball(3, 6).reps
+
+
+def test_edge_count_decides_closure_under_cancels():
+    reps = identity_ball(3, 8).reps
+    assert _closed_under_cancels(reps, 8)
+    # without "" its four insert edges go missing, and no cancel with them
+    assert not _closed_under_cancels(reps - {""}, 8)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_identity_ball_fallback_with_cancels_gives_the_same_ball(m, monkeypatch):
+    ball = identity_ball(m, 8).reps
+    monkeypatch.setattr(dihedral, "_closed_under_cancels", lambda reps, max_len: False)
+    assert identity_ball(m, 8).reps == ball
+
+
+def test_identity_ball_budget_counts_representatives():
+    with pytest.raises(OracleBudgetError) as err:
+        identity_ball(3, 10, max_states=1000)
+    assert err.value.visited == 1000
+
+
+def test_identity_balls_need_no_fallback(monkeypatch):
+    verdicts = []
+
+    def spy(reps, max_len):
+        verdicts.append(_closed_under_cancels(reps, max_len))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dihedral, "_closed_under_cancels", spy)
+    for m in range(2, 9):
+        for cap in range(9):
+            identity_ball(m, cap)
+    assert len(verdicts) == 7 * 9 and all(verdicts)
+
+
+def _inverse(s):
+    return s[::-1].swapcase()
+
+
+def _order_starts(rng, m):
+    """Eight random strings and four conjugates of a relator rotation."""
+    relator = "".join("ab"[i % 2] for i in range(m)) + _inverse("".join("ba"[i % 2] for i in range(m)))
+    starts = ["".join(rng.choice("abAB") for _ in range(rng.randint(1, 6))) for _ in range(8)]
+    for _ in range(4):
+        u = "".join(rng.choice("abAB") for _ in range(rng.randint(0, 1)))
+        r = rng.randrange(2 * m)
+        starts.append(u + relator[r:] + relator[:r] + _inverse(u))
+    return starts
+
+
+# sha256 of the closures below.  A budget-cut run keeps whatever its
+# search order met first, so the hash pins the order in which `closure`
+# lists, canonicalises and dedupes neighbours.
+CLOSURE_ORDER_SHA256 = "15256f0a750a9ba7e6bb94b6c95f58eb003a09f28e4f181ffc29e15a6bae198c"
+
+
+def test_closure_search_order_from_nonempty_starts_is_pinned():
+    rng = random.Random(22)
+    h = hashlib.sha256()
+    for m in range(2, 6):
+        for s in _order_starts(rng, m):
+            for budget in (50, 500, 100_000):
+                r = closure(m, s, len(s) + 2, budget)
+                h.update(repr((r.reached_target, r.complete, r.visited_count, sorted(r.states))).encode())
+    assert h.hexdigest() == CLOSURE_ORDER_SHA256

@@ -33,6 +33,7 @@ from artinflats.tiling import (
     IncompatibleLatticeError,
     Patch,
     TriangleType,
+    _cell_table,
     enumerate_consistent_directions,
     minimal_patch,
     scaled_patch,
@@ -193,6 +194,22 @@ def test_induced_from_consistent_directions_is_admissible(patch244):
             continue
         l = induced(patch244, d)
         assert is_admissible(patch244, l)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_cell_table_rows_have_one_opposite_source_and_sink(m):
+    # A corner k is a source when edge k leaves it and edge k - 1 enters
+    # it, a sink the other way round; induced() reads the same rule off
+    # a cell, so with labels 1 and 2 its two ValueErrors cannot fire.
+    rows = _cell_table(m)
+    assert rows
+    for sig in rows:
+        n = len(sig)
+        assert n == 2 * m
+        sources = [k for k in range(n) if sig[k] > 0 and sig[k - 1] < 0]
+        sinks = [k for k in range(n) if sig[k] < 0 and sig[k - 1] > 0]
+        assert len(sources) == len(sinks) == 1, sig
+        assert (sources[0] + m) % n == sinks[0], sig
 
 
 def test_induced_rejects_inconsistent(patch333):
