@@ -274,35 +274,28 @@ def render_svg(
     def color(ei: int) -> str:
         return _EDGE_COLORS[patch.edges[ei].gen] if edge_colors else "#444444"
 
+    def line(p1, p2, stroke: str, width: int, extra: str = "") -> None:
+        out.append(
+            f'  <line x1="{p1[0]}" y1="{p1[1]}" x2="{p2[0]}" y2="{p2[1]}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra} />'
+        )
+
     long_edges = []
     for p1, p2, ei in segments:
         wide = directions is not None and directions[ei].label >= 2
-        sw = 7 if wide else 3
-        out.append(
-            f'  <line x1="{p1[0]}" y1="{p1[1]}" x2="{p2[0]}" y2="{p2[1]}" '
-            f'stroke="{color(ei)}" stroke-width="{sw}" />'
-        )
+        line(p1, p2, color(ei), 7 if wide else 3)
         if wide:
             long_edges.append((p1, p2))
     # a white core turns each wide stroke into a doubled line
     for p1, p2 in long_edges:
-        out.append(
-            f'  <line x1="{p1[0]}" y1="{p1[1]}" x2="{p2[0]}" y2="{p2[1]}" '
-            f'stroke="#ffffff" stroke-width="3" />'
-        )
+        line(p1, p2, "#ffffff", 3)
     if directions is not None and arrows:
         for p1, p2, ei in segments:
-            mx, my = (p1[0] + p2[0]) // 2, (p1[1] + p2[1]) // 2
-            qx, qy = (p1[0] + mx) // 2, (p1[1] + my) // 2
-            out.append(
-                f'  <line x1="{qx}" y1="{qy}" x2="{mx}" y2="{my}" '
-                f'stroke="{color(ei)}" stroke-width="3" marker-end="url(#arrow)" />'
-            )
+            mid = (p1[0] + p2[0]) // 2, (p1[1] + p2[1]) // 2
+            quarter = (p1[0] + mid[0]) // 2, (p1[1] + mid[1]) // 2
+            line(quarter, mid, color(ei), 3, ' marker-end="url(#arrow)"')
     for p1, p2 in diagonals:
-        out.append(
-            f'  <line x1="{p1[0]}" y1="{p1[1]}" x2="{p2[0]}" y2="{p2[1]}" '
-            f'stroke="#555555" stroke-width="2" stroke-dasharray="7 5" />'
-        )
+        line(p1, p2, "#555555", 2, ' stroke-dasharray="7 5"')
     dots = sorted({p for s in segments for p in (s[0], s[1])})
     for px, py in dots:
         out.append(f'  <circle cx="{px}" cy="{py}" r="4" fill="#222222" />')

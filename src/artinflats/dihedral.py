@@ -27,7 +27,8 @@ each costs O(1) plus one step per Delta completed, whatever m is.
 The second route is a breadth-first closure over raw letter strings
 under free cancellation, free insertion, and balanced relator rewrites
 (u -> v with |u| = |v| = m, one rule for every rotation of the defining
-relator and of its inverse).  The moves commute with eight string
+relator and of its inverse, as `presentation.balanced_rewrites` builds
+them for every layer).  The moves commute with eight string
 symmetries (swap a and b, invert every letter, reverse the string, and
 their products), so the closure works on orbits: it stores and expands
 only each orbit's canonical representative, the least of its eight
@@ -48,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from artinflats.presentation import ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word, alternating, balanced_rewrites
 
 Simple = tuple[int, int]  # (start_letter, length), 0 < length < m
 
@@ -210,8 +211,7 @@ def invert(nf: NormalForm) -> NormalForm:
 
 def delta_word(pres: ArtinPresentation) -> Word:
     a, b, m = _require_dihedral(pres)
-    gens = (a, b)
-    return Word.from_letters((gens[i % 2], 1) for i in range(m))
+    return alternating((a, b), (1,) * m)
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +233,18 @@ class OracleBudgetError(RuntimeError):
         self.visited = visited
 
 
-def _alternating(m: int, start: int) -> str:
-    return "".join("ab"[(start + i) % 2] for i in range(m))
-
-
 @lru_cache(maxsize=None)
 def balanced_rules(m: int) -> dict[str, tuple[str, ...]]:
     """u -> v rewrites with |u| = |v| = m, from every rotation of the
-    defining relator and of its inverse.  Closed under rule inversion."""
-    relator = _alternating(m, 0) + _alternating(m, 1)[::-1].swapcase()
-    inverse = relator[::-1].swapcase()
-    rules: dict[str, set[str]] = {}
-    for base in (relator, inverse):
-        for r in range(2 * m):
-            rot = base[r:] + base[:r]
-            u, tail = rot[:m], rot[m:]
-            v = tail[::-1].swapcase()
-            if u != v:
-                rules.setdefault(u, set()).add(v)
+    defining relator and of its inverse, spelled over "abAB" and grouped
+    by u.  Closed under rule inversion."""
+
+    def spell(letters) -> str:
+        return "".join(g if e > 0 else g.upper() for g, e in letters)
+
+    rules: dict[str, list[str]] = {}
+    for u, v in balanced_rewrites("a", "b", m):
+        rules.setdefault(spell(u), []).append(spell(v))
     return {u: tuple(sorted(vs)) for u, vs in sorted(rules.items())}
 
 

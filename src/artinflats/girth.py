@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from artinflats import dihedral
-from artinflats.presentation import ArtinPresentation, Word, reduce
+from artinflats.presentation import ArtinPresentation, Word, alternating, reduce
 
 
 class GirthPreconditionError(ValueError):
@@ -87,15 +87,7 @@ def template_word(m: int, k: int, swap: bool = False, generators: tuple[str, str
     With swap=False the word starts on generators[0]; swap=True starts
     it on generators[1] (exchanging the roles of x and y throughout).
     """
-    g0, g1 = generators
-    if swap:
-        g0, g1 = g1, g0
-    exps = template_exponents(m, k)
-    return Word.from_letters(
-        ((g0 if i % 2 == 0 else g1), 1 if e > 0 else -1)
-        for i, e in enumerate(exps)
-        for _ in range(abs(e))
-    )
+    return alternating(generators[::-1] if swap else generators, template_exponents(m, k))
 
 
 def match_exponents(m: int, exps: tuple[int, ...]) -> tuple[int, int] | None:
@@ -170,11 +162,6 @@ class SweepResult(NamedTuple):
     trivial: int
     agree: int
     first_disagreement: Word | None  # in sweep order; None on full agreement
-
-
-def _alternating(exps: tuple[int, ...], start: int) -> Word:
-    """The word whose syllable i is on "st"[(start + i) % 2] with exponent exps[i]."""
-    return reduce(("st"[(start + i) % 2], e) for i, e in enumerate(exps))
 
 
 def _half_forms(
@@ -272,6 +259,6 @@ def girth_sweep(m: int, bound: int) -> SweepResult:
     first = None
     if disagree:
         i, j = min(disagree)
-        first = _alternating(halves[i] + halves[j], 0)
+        first = alternating("st", halves[i] + halves[j])
     total = len(halves) ** 2
     return SweepResult(total, len(trivial), total - len(disagree), first)

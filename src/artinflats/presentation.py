@@ -8,7 +8,9 @@ of the two alternating products of length m:
     s t s ...  =  t s t ...      (m letters on each side).
 
 "No relation" is `INFINITY`, which is `None`; a pair given as `None`
-(JSON `null`) and a pair left out mean the same thing.
+(JSON `null`) and a pair left out mean the same thing.  The relator is
+written once, here: `alternating` builds the alternating words and
+`balanced_rewrites` the relator's balanced rules, for every layer.
 
 Words are kept in *syllable* form: maximal runs of a single generator
 are merged into one (generator, exponent) pair with a nonzero exponent.
@@ -29,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = None
@@ -266,6 +269,44 @@ class Word:
     def substitute(self, mapping: dict[str, str]) -> "Word":
         """Rename generators; the result is re-reduced."""
         return reduce((mapping.get(s.generator, s.generator), s.exponent) for s in self.syllables)
+
+
+# ---------------------------------------------------------------------------
+# The defining relator
+# ---------------------------------------------------------------------------
+
+
+def alternating(generators: Sequence[str], exponents: Iterable[int]) -> Word:
+    """The word whose syllable i is generators[i % 2]^exponents[i]:
+    a side of the relator for exponents (1,) * m."""
+    return reduce((generators[i % 2], e) for i, e in enumerate(exponents))
+
+
+@lru_cache(maxsize=None)
+def balanced_rewrites(a: str, b: str, m: int) -> tuple[tuple[tuple[tuple[str, int], ...], ...], ...]:
+    """The balanced rules (u, v), |u| = |v| = m, of the relator of the
+    pair (a, b), as (generator, +1 or -1) letter tuples.
+
+    Cutting a rotation of the relator (a b a ...)(b a b ...)^-1 into its
+    first m letters u and the rest t gives the rule u -> t^-1.  The order
+    is every rotation of the relator, then every rotation of its inverse,
+    with u = v and repeats dropped; the prover's version 1 certificates
+    name a rule by its index in this order.
+    """
+
+    def inv(letters):
+        return tuple((g, -e) for g, e in reversed(letters))
+
+    relator = tuple(alternating((a, b), (1,) * m).letters())
+    relator += inv(alternating((b, a), (1,) * m).letters())
+    rules: dict[tuple, None] = {}
+    for base in (relator, inv(relator)):
+        for r in range(2 * m):
+            rot = base[r:] + base[:r]
+            u, v = rot[:m], inv(rot[m:])
+            if u != v:
+                rules.setdefault((u, v))
+    return tuple(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ layer a one-root search for a word no longer than the core; that keeps
 the words short enough for the two-root search to meet the target, and
 an empty conj leaves that search alone.  `prove_trivial` first tries a
 commutator split, `prove_equal` last proves u v^-1 trivial.  The rule
-table is built once per presentation.
+table is built once per presentation, from the balanced rules that
+`presentation.balanced_rewrites` builds once per pair and exponent.
 
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
@@ -47,7 +48,7 @@ import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from artinflats.presentation import ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word, balanced_rewrites
 
 Letter = tuple[str, int]  # (generator, +1 or -1)
 
@@ -139,39 +140,15 @@ def _inv_word(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple(_inv(l) for l in reversed(letters))
 
 
-@lru_cache(maxsize=None)
-def _rules_for(m: int, a: str, b: str) -> tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]:
-    """Balanced rules (u, v) with |u| = |v| = m for the pair (a, b).
-
-    Deterministic order: rotations of the defining relator, then of its
-    inverse, duplicates dropped keeping the first occurrence.
-    """
-    gens = (a, b)
-    side0 = tuple((gens[i % 2], 1) for i in range(m))
-    side1 = tuple((gens[(i + 1) % 2], 1) for i in range(m))
-    relator = side0 + _inv_word(side1)
-    out = []
-    seen = set()
-    for base in (relator, _inv_word(relator)):
-        for r in range(2 * m):
-            rot = base[r:] + base[:r]
-            u, tail = rot[:m], rot[m:]
-            v = _inv_word(tail)
-            if u != v and (u, v) not in seen:
-                seen.add((u, v))
-                out.append((u, v))
-    return tuple(out)
-
-
 def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]:
     m = pres.m(a, b)
     if m is None:
         raise ValueError(f"pair ({a}, {b}) has no relation")
-    return _rules_for(m, a, b)
+    return balanced_rewrites(a, b, m)
 
 
-# Version 1 relator moves index the O(m^2) table `_rules_for`, which is
-# built only up to this m when such a certificate is read.
+# Version 1 relator moves index the O(m^2) table `balanced_rewrites`,
+# which is built only up to this m when such a certificate is read.
 V1_MAX_M = 64
 
 # `from_json` refuses a start or end word longer than this many letters:
@@ -188,7 +165,7 @@ def _v1_rule(pres: ArtinPresentation, pair, variant) -> tuple[tuple[Letter, ...]
     )
     m = _relator_m(pres, *pair)
     _strict(m <= V1_MAX_M, f"version 1 certificates are read for m <= {V1_MAX_M} only, got m = {m}")
-    rules = _rules_for(m, *pair)
+    rules = balanced_rewrites(*pair, m)
     _strict(0 <= variant < len(rules), f"bad rule variant {variant}")
     return rules[variant]
 

@@ -42,7 +42,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from artinflats.presentation import ArtinPresentation, Word, reduce
+from artinflats.presentation import ArtinPresentation, Word, alternating, reduce
 from artinflats import dihedral, girth
 
 Vec = tuple[int, int]
@@ -619,11 +619,7 @@ def _signed_boundary_trivial(m: int, exps: tuple[int, ...]) -> bool:
     """Triviality of a cell word given only its signed labels, since the
     generators alternate around the boundary starting with pair[0]."""
     pres = ArtinPresentation(("a", "b"), {("a", "b"): m})
-    letters = []
-    for k, e in enumerate(exps):
-        g = "a" if k % 2 == 0 else "b"
-        letters.extend([(g, 1 if e > 0 else -1)] * abs(e))
-    return dihedral.is_trivial(pres, Word.from_letters(letters))
+    return dihedral.is_trivial(pres, alternating("ab", exps))
 
 
 @lru_cache(maxsize=None)

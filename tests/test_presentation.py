@@ -1,14 +1,17 @@
 """Words, presentations, and the star-of-factors word templates."""
 
+import hashlib
 import random
 
 import pytest
 
+from artinflats import dihedral
 from artinflats.presentation import (
     INFINITY,
     ArtinPresentation,
     LanguageTemplate,
     Word,
+    balanced_rewrites,
     reduce,
 )
 
@@ -62,6 +65,22 @@ def test_exponent_sum():
     assert w.exponent_sum("s") == 1
     assert w.exponent_sum("t") == 0
     assert w.exponent_sum("r") == 0
+
+
+# sha256 over the concatenated repr of the rule tables: the search's
+# balanced_rewrites("a", "b", m) for m = 2..64, and the oracle's
+# "abAB" view dihedral.balanced_rules(m) for m = 2..12.  A version 1
+# certificate names a rule by its index in the first table, and the
+# search's certificate bytes follow its order.
+RULES_SHA256 = "7d8cf9a05aa01ed76d0f6cdf4864a7a197c296f7737919fcd8e522cdf78df190"
+ORACLE_RULES_SHA256 = "540ce6b1c6676e3eda0e809dfd39ad23e57d3217a93d5dd33ac282a37caae347"
+
+
+def test_relator_rule_order_is_pinned():
+    text = "".join(repr(balanced_rewrites("a", "b", m)) for m in range(2, 65))
+    assert hashlib.sha256(text.encode()).hexdigest() == RULES_SHA256
+    text = "".join(repr(dihedral.balanced_rules(m)) for m in range(2, 13))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_RULES_SHA256
 
 
 def test_presentation_lookup_and_symmetry():

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from artinflats import prover
-from artinflats.presentation import ArtinPresentation, Word
+from artinflats.presentation import ArtinPresentation, Word, balanced_rewrites
 from artinflats.prover import (
     MAX_CERT_LETTERS,
     Budget,
@@ -29,7 +29,6 @@ from artinflats.prover import (
     _check_window,
     _conjugation_chain,
     _find_commutator_split,
-    _rules_for,
     _search,
     _splice,
     _transitions,
@@ -124,7 +123,7 @@ def test_check_window_accepts_exactly_the_rule_table(m):
     # draws beyond: random words, two rule sides, and a rule with one
     # letter redrawn
     pres = ArtinPresentation(("a", "b"), {("a", "b"): m})
-    rules = _rules_for(m, "a", "b")
+    rules = balanced_rewrites("a", "b", m)
     letters = [(g, s) for g in "ab" for s in (1, -1)]
     if m <= 4:
         words = list(itertools.product(letters, repeat=m))
@@ -150,7 +149,7 @@ def test_check_window_accepts_exactly_the_rule_table(m):
 
 
 def test_check_window_reads_the_pair_and_m_from_the_letters(e333):
-    u, v = _rules_for(3, "t", "r")[0]
+    u, v = balanced_rewrites("t", "r", 3)[0]
     _check_window(e333, u, v)
     _check_window(e333, v, u)
     for pres, why in (

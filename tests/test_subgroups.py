@@ -9,11 +9,12 @@ frozen as regression values.
 
 import hashlib
 import random
+import sys
 
 import pytest
 
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats import prover
+from artinflats import presentation, prover
 from artinflats.prover import (
     Budget,
     Certificate,
@@ -209,8 +210,16 @@ def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
     def search_table(*args, **kwargs):
         raise AssertionError("replay reached the search's rule table")
 
-    for name in ("_rules_for", "relator_rules", "_Rules", "_rule_table"):
+    for name in ("relator_rules", "_Rules", "_rule_table"):
         monkeypatch.setattr(prover, name, search_table)
+    # the shared rule builder, in presentation and wherever it is bound
+    builder = presentation.balanced_rewrites
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "artinflats":
+            for name, value in list(vars(module).items()):
+                if value is builder:
+                    monkeypatch.setattr(module, name, search_table)
+    assert presentation.balanced_rewrites is prover.balanced_rewrites is search_table
     for cert in certs:
         assert replay(cert)
         loaded = Certificate.from_json(cert.to_json())
