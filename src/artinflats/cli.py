@@ -69,12 +69,20 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _load_presentation(path: str) -> ArtinPresentation:
+def _read(path: str, what: str) -> str:
+    """The text of an input file; a file that cannot be opened or is not
+    UTF-8 text is a usage error."""
     try:
         with open(path) as fh:
-            return ArtinPresentation.from_json(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read presentation file: {exc}")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}")
+
+
+def _load_presentation(path: str) -> ArtinPresentation:
+    text = _read(path, "presentation file")
+    try:
+        return ArtinPresentation.from_json(text)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad presentation file {path}: {exc}")
 
@@ -335,11 +343,9 @@ def _resolve_polarisation(patch: Patch, mode: str, d: DirectionAssignment | None
         return induced(patch, d)
     if mode.startswith("file:"):
         path = mode.split(":", 1)[1]
+        text = _read(path, "polarisation file")
         try:
-            with open(path) as fh:
-                return polarisation_from_json(patch, fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read polarisation file: {exc}")
+            return polarisation_from_json(patch, text)
         except (ValueError, KeyError, IndexError, RecursionError) as exc:
             raise UsageError(f"bad polarisation file {path}: {exc}")
     raise UsageError(f"unknown polarisation mode {mode!r}")
@@ -396,11 +402,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.certificate) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read certificate: {exc}")
+    text = _read(args.certificate, "certificate")
     try:
         cert = Certificate.from_json(text)
     except ReplayError as exc:
@@ -447,7 +449,7 @@ def cmd_families(args) -> int:
     exps = _parse_exponents(args.exponents) if args.exponents else None
     payload = {"case": args.case}
     if exps is not None:
-        payload["exponents"] = [list(e) if isinstance(e, tuple) else e for e in exps]
+        payload["exponents"] = exps
     try:
         w1, w2 = family(args.case, exps, **words)
     except ValueError as exc:

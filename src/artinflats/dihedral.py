@@ -142,17 +142,11 @@ class NormalForm:
 
     def to_word(self) -> Word:
         """A word spelling this element: Delta^power then the factors."""
-        letters: list[tuple[str, int]] = []
-        delta = [(self.generators[i % 2], 1) for i in range(self.m)]
-        if self.power >= 0:
-            letters.extend(delta * self.power)
-        else:
-            inv = [(g, -e) for g, e in reversed(delta)]
-            letters.extend(inv * (-self.power))
-        for f in self.factors:
-            start, ln = f
-            letters.extend((self.generators[(start + i) % 2], 1) for i in range(ln))
-        return Word.from_letters(letters)
+        delta = alternating(self.generators, (1,) * self.m)
+        parts = [delta if self.power >= 0 else delta.inverse()] * abs(self.power)
+        gens = self.generators
+        parts += [alternating(gens[start:] + gens[:start], (1,) * ln) for start, ln in self.factors]
+        return Word.from_letters(l for w in parts for l in w.letters())
 
 
 def _require_dihedral(pres: ArtinPresentation) -> tuple[str, str, int]:

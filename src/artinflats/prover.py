@@ -34,6 +34,12 @@ commutator split, `prove_equal` last proves u v^-1 trivial.  The rule
 table is built once per presentation, from the balanced rules that
 `presentation.balanced_rewrites` builds once per pair and exponent.
 
+Composite certificates need no search: the conjugation product, the
+commutator upgrade, conjugation by a word and `prove_equal`'s fallback
+each place pieces side by side, certificates and fixed letter words,
+in one assembly that restores the joins of the starts, runs each
+certificate on its own span and freely reduces the ends.
+
 Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
 with rank the generator's index in sorted order, so codes sort like the
 (g, s) letters they stand for and c ^ 1 is the inverse of c.  A
@@ -340,23 +346,37 @@ def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     return Certificate(c1.presentation, c1.start, c2.end, c1.moves + c2.moves)
 
 
-def _in_context(cert: Certificate, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> Certificate:
-    """From a certificate X -> Y, one for red(left X right) -> red(left Y right).
+def _assemble(pres: ArtinPresentation, pieces) -> Certificate:
+    """One certificate from pieces placed side by side, each a Certificate
+    or a fixed letter tuple: red(starts) -> red(ends).
 
-    Restores the junctions of left X right, runs the original moves on
-    the inner window, then freely reduces the junctions of the result.
-    No search is involved, so the output replays whenever the input does.
+    Restores the joins of the concatenated starts, runs each piece's
+    moves with the ends to its left already in place, then freely
+    reduces the concatenated ends.  No search is involved, so the output
+    replays whenever every piece does.
     """
-    raw, end_raw = (left + tuple(w.letters()) + right for w in (cert.start, cert.end))
-    moves = _undo(reduction_moves(raw)[1]) + _shift_moves(cert.moves, len(left))
-    moves += reduction_moves(end_raw)[1]
-    return Certificate(cert.presentation, Word.from_letters(raw), Word.from_letters(end_raw), moves)
+    starts: list[Letter] = []
+    ends: list[Letter] = []
+    moves: list[Move] = []
+    for piece in pieces:
+        if isinstance(piece, Certificate):
+            starts += piece.start.letters()
+            moves += _shift_moves(piece.moves, len(ends))
+            ends += piece.end.letters()
+        else:
+            starts += piece
+            ends += piece
+    red, red_moves = reduction_moves(starts)
+    end, end_moves = reduction_moves(ends)
+    return Certificate(
+        pres, Word.from_letters(red), Word.from_letters(end), _undo(red_moves) + tuple(moves) + end_moves
+    )
 
 
 def conjugated_certificate(cert: Certificate, w: Word) -> Certificate:
     """From a certificate X -> Y, one for red(w X w^-1) -> red(w Y w^-1)."""
     wl = tuple(w.letters())
-    return _in_context(cert, wl, _inv_word(wl))
+    return _assemble(cert.presentation, (wl, cert, _inv_word(wl)))
 
 
 def _shift_moves(moves: tuple[Move, ...], offset: int) -> tuple[Move, ...]:
@@ -679,54 +699,32 @@ def commutator_from_conjugation(conj: Certificate) -> Certificate:
     """Upgrade a certificate  g x g^-1 -> x  to one for the commutator.
 
     The result starts at the reduced form of (g x g^-1) x^-1 and ends
-    empty: restore the junction, run the conjugation certificate on the
-    prefix (the x^-1 suffix rides along), then cancel x x^-1."""
-    return _in_context(conj, (), _inv_word(tuple(conj.end.letters())))
+    empty: the conjugation certificate runs beside a fixed x^-1, and
+    x x^-1 cancels at the end."""
+    return _assemble(conj.presentation, (conj, _inv_word(tuple(conj.end.letters()))))
 
 
 def conjugation_product(
     pres: ArtinPresentation, g: Word, factors: list[Word], certs: list[Certificate]
 ) -> Certificate:
     """Combine certificates  red(g f_i g^-1) -> f_i  into one for
-    red(g f_1...f_n g^-1) -> f_1...f_n.
+    red(g f_1...f_n g^-1) -> red(f_1...f_n).
 
-    The factor concatenation must be freely reduced as written (no
-    cancellation between adjacent factors); junctions with g may cancel
-    freely.  Works by splitting off one factor at a time: insert g^-1 g
-    after f_1, locally reduce the g f_1 g^-1 span to the cert's start,
-    apply the cert, repeat.
+    The certificates are placed side by side: the joins between the
+    spans g f_i g^-1 are restored, each certificate runs on its span,
+    and the concatenated factors are freely reduced at the end, so
+    adjacent factors may cancel.
     """
     if not certs or len(certs) != len(factors):
         raise ValueError("need one certificate per factor")
-    gl = tuple(g.letters())
-    fls = [tuple(f.letters()) for f in factors]
-    whole = tuple(l for f in fls for l in f)
-    if reduction_moves(whole)[1]:
-        raise ValueError("factor concatenation is not freely reduced")
     for c, f in zip(certs, factors):
         if c.presentation != pres:
             raise ValueError("certificate over a different presentation")
-        if tuple(c.end.letters()) != tuple(f.letters()):
+        if c.end != f:
             raise ValueError("certificate end does not match its factor")
-        expect = Word.from_letters(gl + tuple(f.letters()) + _inv_word(gl))
-        if c.start != expect:
+        if c.start != g * f * g.inverse():
             raise ValueError("certificate start is not red(g f g^-1)")
-    raw = gl + whole + _inv_word(gl)
-    red, red_moves = reduction_moves(raw)
-    moves = list(_undo(red_moves))
-    done = 0  # letters already finalised on the left
-    for i, (cert, fl) in enumerate(zip(certs, fls)):
-        if i < len(fls) - 1:
-            # insert g^-1 g right after f_i: sequential pair inserts
-            # build inv(g_n)...inv(g_1) g_1...g_n left to right.
-            at = done + len(gl) + len(fl)
-            moves.extend(Move("insert", at + j, letter=l) for j, l in enumerate(_inv_word(gl)))
-        # the span [done : done+|g|+|f_i|+|g|] now spells g f_i g^-1
-        _, span_moves = reduction_moves(gl + fl + _inv_word(gl))
-        moves.extend(_shift_moves(span_moves, done))
-        moves.extend(_shift_moves(cert.moves, done))
-        done += len(fl)
-    return Certificate(pres, Word.from_letters(raw), Word.from_letters(whole), tuple(moves))
+    return _assemble(pres, certs)
 
 
 def prove_trivial(pres: ArtinPresentation, w: Word, budget: Budget = DEFAULT_BUDGET) -> Certificate | None:
@@ -749,8 +747,7 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
     """Certificate rewriting u into v, or None within budget.
 
     Tries the search ladder from u to v first; if that fails, proves
-    u v^-1 trivial and repackages (insert v^-1 v at the end of u, erase
-    the u v^-1 prefix, leaving v)."""
+    u v^-1 trivial and places that certificate beside a fixed v."""
     ul, vl = _search_letters(u), _search_letters(v)
     moves = _search_ladder(pres, *_peel(ul, vl), vl, budget)
     if moves is not None:
@@ -758,6 +755,4 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
     triv = prove_trivial(pres, u * v.inverse(), budget)
     if triv is None:
         return None
-    # u -> u v^-1 v, then the u v^-1 prefix reduces and is erased, leaving v
-    inserts = tuple(Move("insert", len(ul) + j, letter=l) for j, l in enumerate(_inv_word(vl)))
-    return Certificate(pres, u, v, inserts + reduction_moves(ul + _inv_word(vl))[1] + triv.moves)
+    return _assemble(pres, (triv, vl))

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -249,7 +250,7 @@ def test_prove_equal_falls_back_to_the_trivial_word(monkeypatch):
     cert = prove_equal(pres, w1 * w2, w2 * w1, Budget(max_states=300))
     assert len(trivial) == 1 and trivial[0] is not None
     assert (cert.start, cert.end) == (w1 * w2, w2 * w1)
-    assert len(cert.moves) == 29
+    assert len(cert.moves) == 23
     assert replay(cert)
 
 
@@ -439,6 +440,53 @@ def test_conjugation_product_and_commutator_upgrade(e333):
     assert combined.end == x
     assert replay(combined)
     comm = commutator_from_conjugation(combined)
+    assert not comm.end.syllables
+    assert replay(comm)
+
+
+def test_conjugation_product_refusals(e333, m3):
+    g, t = Word.parse("s1 t1 r1 s1 t1 r1"), Word.parse("t1")
+    cert = prove_conjugation(e333, g, t)
+    for args, message in [
+        ((g, [], []), "one certificate per factor"),
+        ((g, [t, t], [cert]), "one certificate per factor"),
+        ((g, [t], [replace(cert, presentation=m3)]), "different presentation"),
+        ((g, [Word.parse("s1")], [cert]), "end does not match"),
+        ((Word.parse("s1"), [t], [cert]), "start is not"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            conjugation_product(e333, *args)
+
+
+def test_conjugation_product_is_linear_in_the_factor_count():
+    # n copies of family b's factor: each copy adds the same moves
+    pres = flat_family("b").presentation
+    w1, f = family("b", [1])
+    cert = prove_conjugation(pres, w1, f)
+    counts = {}
+    for n in (1, 2, 10, 200):
+        product = conjugation_product(pres, w1, [f] * n, [cert] * n)
+        assert replay(product)
+        assert product.end == Word.from_letters(list(f.letters()) * n)
+        counts[n] = len(product.moves)
+    step = counts[2] - counts[1]
+    assert all(counts[n] == counts[1] + (n - 1) * step for n in counts), counts
+    t0 = time.perf_counter()
+    conjugation_product(pres, w1, [f] * 1000, [cert] * 1000)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_conjugation_product_takes_factors_that_cancel(e333):
+    # t1 t-1 t1: the product restores the joins and ends at red(t1 t-1 t1)
+    g = Word.parse("s1 t1 r1 s1 t1 r1")
+    factors = [Word.parse(w) for w in ("t1", "t-1", "t1")]
+    cert = prove_conjugation(e333, g, factors[0])
+    certs = [cert, mirror_certificate(cert), cert]
+    product = conjugation_product(e333, g, factors, certs)
+    assert product.start == g * factors[0] * g.inverse()
+    assert product.end == factors[0]
+    assert replay(product)
+    comm = commutator_from_conjugation(product)
     assert not comm.end.syllables
     assert replay(comm)
 
