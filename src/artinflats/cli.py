@@ -26,12 +26,11 @@ import sys
 from artinflats import dihedral, girth
 from artinflats.dihedral import OracleBudgetError
 from artinflats.polarisation import (
-    RigidityError,
-    check_rigidity,
-    enumerate_admissible,
     induced,
+    iter_admissible,
     polarisation_from_json,
     polarisation_to_json,
+    rigidity_witnesses,
 )
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
@@ -172,41 +171,36 @@ def cmd_girth_sweep(args) -> int:
 
 def cmd_polarisations(args) -> int:
     patch = _build_patch(args)
-    admissible = enumerate_admissible(patch)
-    witnesses = []
-    failed = []
-    if args.check_rigidity:
-        for l in admissible:
-            try:
-                witnesses.append(check_rigidity(patch, l))
-            except RigidityError:
-                failed.append(l)
+    count = failed = 0
+    listed = []  # only --json prints the polarisations themselves
+    for l in iter_admissible(patch):
+        count += 1
+        if args.check_rigidity and not rigidity_witnesses(patch, l):
+            failed += 1
+        if args.json:
+            listed.append(json.loads(polarisation_to_json(patch, l)))
     if args.json:
         print(
             json.dumps(
                 {
                     "type": patch.triangle_type.name,
                     "lattice": [list(v) for v in patch.lattice],
-                    "count": len(admissible),
+                    "count": count,
                     "rigid": (not failed) if args.check_rigidity else None,
-                    "polarisations": [
-                        json.loads(polarisation_to_json(patch, l)) for l in admissible
-                    ],
+                    "polarisations": listed,
                 },
                 indent=2,
             )
         )
     else:
         lat = ";".join(",".join(str(c) for c in v) for v in patch.lattice)
-        print(f"{patch.triangle_type.name} lattice {lat}: {len(admissible)} admissible polarisations")
+        print(f"{patch.triangle_type.name} lattice {lat}: {count} admissible polarisations")
         if args.check_rigidity:
             if failed:
-                print(f"rigidity FAILED for {len(failed)} polarisation(s)")
+                print(f"rigidity FAILED for {failed} polarisation(s)")
             else:
-                print(f"all rigid ({len(witnesses)} witnesses)")
-    if args.check_rigidity and failed:
-        return EXIT_VERIFY
-    return EXIT_OK
+                print(f"all rigid ({count} witnesses)")
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent-bound", type=int, default=2, help="syllable exponents in 1..bound, bound <= 3")
     p.set_defaults(func=cmd_girth_sweep)
 
-    p = sub.add_parser("polarisations", help="Enumerate admissible polarisations of a patch.")
+    p = sub.add_parser("polarisations", help="Count admissible polarisations of a patch; --json lists them.")
     _add_patch_args(p)
     p.add_argument("--check-rigidity", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -17,9 +17,10 @@ search takes it in a loop without a frame.  Covering an option appends
 the options it removes to one trail; an explicit stack of branching
 frames (options, next index, trail mark, length of the choice list, a
 copy of the levels) undoes back to a mark, so the search depth is not
-bounded by the interpreter's stack.  Completing a polarisation from its
-values on the maximal cells is the same exact cover, with those cells'
-options fixed before the search.
+bounded by the interpreter's stack.  It yields each polarisation as its
+cover completes, so a caller that counts them holds none.  Completing a
+polarisation from its values on the maximal cells is the same exact
+cover, with those cells' options fixed, read to a second completion.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -43,9 +44,10 @@ vertex and cell maps, which the patch computes once per vector
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import or_
 
@@ -131,16 +133,18 @@ def induced(patch: Patch, d: DirectionAssignment) -> Polarisation:
 
 
 def enumerate_admissible(patch: Patch) -> list[Polarisation]:
-    """All admissible polarisations by exact cover: items are the
-    vertices (each covered once) and the cells (each choosing one
-    diagonal); deterministic branching on the most constrained item."""
-    return _exact_cover(patch, {})
+    """All admissible polarisations, in the order `iter_admissible`
+    yields them."""
+    return list(iter_admissible(patch))
 
 
-def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
-    """The exact cover of `enumerate_admissible` with each cell of
-    `fixed` held to its given diagonal (its option chosen before the
-    search); a fixed diagonal that is no option has no completion."""
+def iter_admissible(patch: Patch, fixed: Polarisation | None = None) -> Iterator[Polarisation]:
+    """Yield each admissible polarisation as its exact cover completes:
+    items are the vertices (each covered once) and the cells (each
+    choosing one diagonal); deterministic branching on the most
+    constrained item.  Each cell of `fixed` is held to its given
+    diagonal (its option chosen before the search); a fixed diagonal
+    that is no option has no completion."""
     n_v = patch.vertex_count()
     n_items = n_v + len(patch.cells)
     opt_cell: list[int] = []
@@ -185,14 +189,13 @@ def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
                             level[c] ^= bit[it2]
                             level[c - 1] ^= bit[it2]
 
-    for ci, d in fixed.items():
+    for ci, d in (fixed or {}).items():
         oi = next((oi for oi in item_options[n_v + ci] if opt_diag[oi] == d), None)
         if oi is None or not alive[oi]:
-            return []  # no option, or an end taken by an earlier fixed cell
+            return  # no option, or an end taken by an earlier fixed cell
         chosen.append(oi)
         cover(oi)
 
-    results: list[Polarisation] = []
     # branching frames: [options, next index, trail mark, len(chosen), level]
     stack: list[list] = []
     while True:
@@ -200,7 +203,7 @@ def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
             if lv:
                 break
         else:
-            results.append({opt_cell[oi]: opt_diag[oi] for oi in chosen})
+            yield {opt_cell[oi]: opt_diag[oi] for oi in chosen}
             c = 0
         if c:
             # the smallest item of the lowest level: the (count, item) minimum
@@ -212,7 +215,7 @@ def _exact_cover(patch: Patch, fixed: Polarisation) -> list[Polarisation]:
         else:
             # a cover, or an item no option holds: resume the innermost frame
             if not stack:
-                return results
+                return
             frame = stack[-1]
             opts, k, mark, n_chosen, saved = frame
             for other in trail[mark:]:
@@ -426,12 +429,10 @@ def determined_values(patch: Patch, partial: Polarisation) -> Polarisation | Non
         raise ValueError("partial polarisation must cover exactly the maximal cells")
     for ci, d in partial.items():
         diagonal_vertices(patch.cells[ci], d)  # raises on an index out of range
-    completions = _exact_cover(patch, partial)
-    if not completions:
-        return None
+    completions = list(islice(iter_admissible(patch, partial), 2))
     if len(completions) > 1:
         raise ValueError("maximal-cell values do not determine the completion")
-    return completions[0]
+    return completions[0] if completions else None
 
 
 # ---------------------------------------------------------------------------
