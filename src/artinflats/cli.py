@@ -263,14 +263,16 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{vw // 2}" height="{vh // 2}" '
         f'viewBox="{x0} {y0} {vw} {vh}">'
     )
-    out.append('  <defs>')
-    out.append(
-        '    <marker id="arrow" viewBox="0 0 8 8" refX="7" refY="4" '
-        'markerWidth="6" markerHeight="6" orient="auto">'
-    )
-    out.append('      <path d="M0 0L8 4L0 8z" fill="context-stroke" />')
-    out.append('    </marker>')
-    out.append('  </defs>')
+    draw_arrows = directions is not None and arrows
+    if draw_arrows:
+        out.append('  <defs>')
+        out.append(
+            '    <marker id="arrow" viewBox="0 0 8 8" refX="7" refY="4" '
+            'markerWidth="6" markerHeight="6" orient="auto">'
+        )
+        out.append('      <path d="M0 0L8 4L0 8z" fill="context-stroke" />')
+        out.append('    </marker>')
+        out.append('  </defs>')
     out.append(f'  <rect x="{x0}" y="{y0}" width="{vw}" height="{vh}" fill="#ffffff" />')
 
     def color(ei: int) -> str:
@@ -291,7 +293,7 @@ def render_svg(
     # a white core turns each wide stroke into a doubled line
     for p1, p2 in long_edges:
         line(p1, p2, "#ffffff", 3)
-    if directions is not None and arrows:
+    if draw_arrows:
         for p1, p2, ei in segments:
             mid = (p1[0] + p2[0]) // 2, (p1[1] + p2[1]) // 2
             quarter = (p1[0] + mid[0]) // 2, (p1[1] + mid[1]) // 2

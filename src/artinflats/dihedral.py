@@ -338,19 +338,22 @@ class ClosureResult:
     complete: bool
     visited_count: int
     states: set[str]
+    string_count: int | None = None  # strings in the orbits of states, if the count closed them
 
 
-def _closed_under_cancels(reps: set[str], max_len: int) -> bool:
-    """Whether every cancel out of the strings of `reps` (the union of
-    their orbits) lands among them, given that they are closed under
-    inserts within max_len.  See `closure` for the count."""
-    cancels = inserts = 0
+def _closed_under_cancels(reps: set[str], max_len: int) -> int:
+    """The number of strings of `reps` (the union of their orbits) when
+    every cancel out of them lands among them, given that they are
+    closed under inserts within max_len; else 0.  See `closure` for the
+    count."""
+    cancels = inserts = strings = 0
     for s in reps:
         orbit = _orbit_size(s)
+        strings += orbit
         cancels += orbit * (s.count("aA") + s.count("Aa") + s.count("bB") + s.count("Bb"))
         if len(s) + 2 <= max_len:
             inserts += orbit * 4 * (len(s) + 1)
-    return cancels == inserts
+    return strings if cancels == inserts else 0
 
 
 def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
@@ -384,7 +387,9 @@ def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
     over the representatives weighted by orbit size.  When they agree,
     S is closed under all three moves and is the whole component of the
     empty string, with no theorem about the moves needed; when they do
-    not, the same loop goes on from S with cancels switched on.
+    not, the same loop goes on from S with cancels switched on.  The
+    count's pass also sums the orbit sizes, kept as `string_count` when
+    the counts agree.
     """
     rules = balanced_rules(m)
     start = _canonical(start)
@@ -393,6 +398,7 @@ def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
     cancels = bool(start)
     complete = True
     found = False
+    string_count = None
     while queue and not found:
         state = queue.popleft()
         for nxt in _neighbours(state, rules, max_len, cancels):
@@ -409,14 +415,17 @@ def closure(m: int, start: str, max_len: int, max_states: int) -> ClosureResult:
                 continue
             seen.add(nxt)
             queue.append(nxt)
-        if not (queue or cancels) and complete and not _closed_under_cancels(seen, max_len):
-            cancels = True
-            queue.extend(seen)
+        if not (queue or cancels) and complete:
+            string_count = _closed_under_cancels(seen, max_len) or None
+            if string_count is None:
+                cancels = True
+                queue.extend(seen)
     return ClosureResult(
         reached_target=found,
         complete=complete,
         visited_count=len(seen),
         states=seen,
+        string_count=string_count,
     )
 
 
@@ -461,9 +470,9 @@ class IdentityBall:
 
     __slots__ = ("reps", "_size")
 
-    def __init__(self, reps: set[str]):
+    def __init__(self, reps: set[str], size: int | None = None):
         self.reps = reps
-        self._size = sum(map(_orbit_size, reps))
+        self._size = sum(map(_orbit_size, reps)) if size is None else size
 
     def __contains__(self, s: str) -> bool:
         try:
@@ -487,4 +496,4 @@ def identity_ball(m: int, max_len: int, max_states: int = 4_000_000) -> Identity
             f"identity ball at length {max_len} exceeded {max_states} states",
             result.visited_count,
         )
-    return IdentityBall(result.states)
+    return IdentityBall(result.states, result.string_count)

@@ -390,6 +390,10 @@ def _shift_moves(moves: tuple[Move, ...], offset: int) -> tuple[Move, ...]:
 
 @dataclass(frozen=True)
 class Budget:
+    """The limits of one search: it holds at most `max_states` states,
+    spelling at most `max_states * max_len` letters in all, and inserts
+    no relator into a word that would then exceed `max_len` letters."""
+
     max_states: int = 60_000
     max_len: int = 64
 
@@ -544,8 +548,10 @@ def _search(
     expanded.  From two roots, with `goal` -1, it grows the side that
     holds fewer states and stops when a new state is already held by the
     other side, returning (target, moves source -> target), or None when
-    the budget is spent.  The sides together hold at most
-    `budget.max_states` states.
+    the budget is spent.  The budget is spent when the sides together
+    hold `budget.max_states` states, or states that spell
+    `budget.max_states * budget.max_len` letters in all, which only
+    roots longer than `budget.max_len` can reach first.
     """
     source, *target = roots
     if len(source) <= goal or target == [source]:
@@ -558,6 +564,7 @@ def _search(
         parents.append({})
         heaps.append([])
     held, best = len(codes), codes[0]
+    letters, max_letters = sum(map(len, codes)), budget.max_states * budget.max_len
 
     def path(side: int, state: tuple) -> tuple[Move, ...]:
         chain = _reconstruct(parents[side], state)
@@ -568,7 +575,7 @@ def _search(
             return target[0], path(0, state) + _undo(path(1, state))
         return rules.decode(state), path(0, state)
 
-    while (heaps[0] or heaps[1]) and held < budget.max_states:
+    while (heaps[0] or heaps[1]) and held < budget.max_states and letters < max_letters:
         side = 0 if heaps[0] and (not heaps[1] or len(parents[0]) <= len(parents[1])) else 1
         seen, other, heap = parents[side], parents[1 - side], heaps[side]
         _, depth, state = heapq.heappop(heap)
@@ -579,10 +586,11 @@ def _search(
                 continue
             seen[nxt] = (state, op)
             held += 1
+            letters += len(nxt)
             if len(nxt) <= goal or other and nxt in other:  # a lone root's other side is empty
                 return finish(nxt)
             heapq.heappush(heap, (len(nxt), depth + 1, nxt))
-            if held >= budget.max_states:
+            if held >= budget.max_states or letters >= max_letters:
                 break
     return None if target else finish(best)
 
@@ -620,15 +628,22 @@ def _find_commutator_split(letters: tuple[Letter, ...]):
     """(p, q) with letters = p q p^-1 q^-1 and p, q nonempty, the
     shortest such p first, or None.  The inverse half starts at n/2,
     since |p q| = |p^-1 q^-1|, and it spells (q p)^-1: a rotation of
-    the first half, inverted."""
+    the first half, inverted.  Rotation i of the first half is the
+    substring at i of that half doubled, so one substring search over
+    the word spelled one character per letter finds the least i."""
     n = len(letters)
     half = n // 2
     if n % 2:
         return None
-    want = _inv_word(letters[half:])
-    for i in range(1, half):
-        if letters[i:half] + letters[:i] == want:
-            return letters[:i], letters[i:half]
+    chars: dict[Letter, str] = {}
+
+    def spell(word: tuple[Letter, ...]) -> str:
+        return "".join(chars.setdefault(l, chr(len(chars))) for l in word)
+
+    first = spell(letters[:half])
+    i = (first + first).find(spell(_inv_word(letters[half:])), 1)
+    if 0 < i < half:
+        return letters[:i], letters[i:half]
     return None
 
 

@@ -137,9 +137,23 @@ def test_render_without_arrows_drops_only_the_arrow_lines(run_cli, tmp_path):
     out = tmp_path / "no_arrows.svg"
     assert run_cli("render", *RENDER_ARGS["e333_directions.svg"], "--no-arrows", "-o", str(out))[0] == 0
     lines = (GOLDEN / "e333_directions.svg").read_text().splitlines(keepends=True)
-    kept = [line for line in lines if "marker-end" not in line]
-    assert len(lines) - len(kept) == 15
+    # the 15 arrow lines and the 5-line block that defines their marker
+    start, end = lines.index("  <defs>\n"), lines.index("  </defs>\n")
+    kept = [line for line in lines[:start] + lines[end + 1 :] if "marker-end" not in line]
+    assert len(lines) - len(kept) == 15 + 5
     assert out.read_text() == "".join(kept)
+
+
+def test_only_renders_with_arrows_define_the_marker(run_cli, tmp_path):
+    out = tmp_path / "x.svg"
+    for args in (
+        ["--type", "E333", "--directions", "none"],
+        [*RENDER_ARGS["e333_directions.svg"], "--no-arrows"],
+    ):
+        assert run_cli("render", *args, "-o", str(out))[0] == 0
+        assert "<marker" not in out.read_text()
+    assert run_cli("render", *RENDER_ARGS["e333_directions.svg"], "-o", str(out))[0] == 0
+    assert out.read_text().count("<marker") == 1
 
 
 def test_render_is_deterministic(run_cli, tmp_path):
@@ -312,6 +326,40 @@ def test_replay_rejects_generators_outside_the_presentation(run_cli, pres_files,
             Certificate.from_json(bad.read_text())
         code, out, err = run_cli("replay", str(bad))
         assert code == 2 and "valid" not in out and "Traceback" not in err
+
+
+def test_prove_conjugation_and_equal(run_cli, pres_files, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    # Delta^2 = (s t s)^2 is central, so it conjugates t to t
+    code, out, err = run_cli(
+        "prove", "--presentation", pres_files["m3"],
+        "--conjugation", "s1 t1 s2 t1 s1", "t1", "-o", str(cert_file),
+    )
+    assert code == 0 and err == "" and out.endswith("-> t1\n")
+    cert = Certificate.from_json(cert_file.read_text())
+    assert replay(cert) and str(cert.end) == "t1"
+    code, out, err = run_cli(
+        "prove", "--presentation", pres_files["m3"], "--equal", "s1 t1 s1", "t1 s1 t1"
+    )
+    assert code == 0 and err == ""
+    cert = Certificate.from_json(out)
+    assert replay(cert) and (str(cert.start), str(cert.end)) == ("s1 t1 s1", "t1 s1 t1")
+
+
+def test_bad_words_and_options_are_usage_errors(run_cli, pres_files, tmp_path):
+    prove = ("prove", "--presentation", pres_files["m3"])
+    out = str(tmp_path / "x.svg")
+    for argv in (
+        (*prove, "--trivial", "s1 t"),
+        (*prove, "--trivial", "s1 t1", "--max-states", "x"),
+        ("families", "--case", "b", "--exponents", "1,2,3"),
+        ("families", "--case", "b", "--exponents", "x"),
+        ("render", "--type", "E333", "--directions", "index:x", "-o", out),
+        ("render", "--type", "E333", "--directions", "bogus", "-o", out),
+        ("render", "--type", "E333", "--polarisation", "bogus", "-o", out),
+    ):
+        _assert_usage_error(run_cli(*argv))
+    assert not os.path.exists(out)
 
 
 def test_prove_budget_exit(run_cli, pres_files):

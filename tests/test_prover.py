@@ -362,13 +362,27 @@ def test_commutator_split_matches_the_double_loop(e333):
     assert found > 500
 
 
-def test_long_words_fail_fast_on_a_tiny_budget(e333):
-    # 3,000 letters: the split check is one pass over n/2 rotations, not
-    # a scan of all O(n^2) split points
+def test_long_words_fail_fast_on_a_tiny_budget(e333, m3):
+    # 3,000 letters: the split check is one substring search, not a
+    # scan of all O(n^2) split points
     w = Word.parse("s700 t800 s-700 t-799 r-1")
     t0 = time.perf_counter()
     assert prove_trivial(e333, w, Budget(max_states=10)) is None
     assert time.perf_counter() - t0 < 1.0
+    # 200,000 letters: nor one rotation compared at a time
+    w = Word.parse(" ".join(["s1 t1"] * 100_000))
+    t0 = time.perf_counter()
+    assert prove_trivial(m3, w, Budget(max_states=10)) is None
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_long_words_spend_the_budget_in_letters(m3):
+    # (s t)^1500 is not trivial; 60,000 states of 3,000 letters would not
+    # fit in memory, so the search stops at max_states * max_len letters
+    w = Word.parse(" ".join(["s1 t1"] * 1500))
+    t0 = time.perf_counter()
+    assert prove_trivial(m3, w) is None
+    assert time.perf_counter() - t0 < 1.5
 
 
 # ---------------------------------------------------------------------------
