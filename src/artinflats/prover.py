@@ -40,11 +40,14 @@ each place pieces side by side, certificates and fixed letter words,
 in one assembly that restores the joins of the starts, runs each
 certificate on its own span and freely reduces the ends.
 
-Search states are tuples of integer letter codes, 2*rank(g) + (s == 1)
-with rank the generator's index in sorted order, so codes sort like the
-(g, s) letters they stand for and c ^ 1 is the inverse of c.  A
-transition only cancels at the junctions of the spliced-in window, and
-states are decoded back to letters only along a found chain.
+Search states are code strings, one code point per letter: letter
+(g, s) is chr(2*rank(g) + (s == 1)) with rank the generator's index in
+sorted order, so code strings sort like the letter tuples they spell
+and code c ^ 1 is the inverse of code c.  A string caches its hash and
+slices and joins in single copies, which keeps the search's seen-tests
+and successors cheap.  A transition only cancels at the junctions of
+the spliced-in window, an insert usually not even there, and states are
+decoded back to letters only along a found chain.
 """
 
 from __future__ import annotations
@@ -161,6 +164,11 @@ V1_MAX_M = 64
 # replay expands both letter by letter, so a few bytes such as
 # "s1000000000" would otherwise ask for gigabytes.
 MAX_CERT_LETTERS = 10**6
+
+# A search spells each letter as one code point, so it takes a
+# presentation of at most this many letters g^1, g^-1: 557,056
+# generators.
+MAX_CODES = 0x110000
 
 
 def _v1_rule(pres: ArtinPresentation, pair, variant) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
@@ -423,15 +431,20 @@ def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tu
 
 
 class _Rules:
-    """The balanced rules of a presentation over letter codes.
+    """The balanced rules of a presentation over code strings.
 
     `pairs` holds, per finite pair in `finite_pairs` order, the pair,
     its window length m, a dict from each window u to the variants
-    rewriting it, and per variant the codes of v and of the insert word
-    u v^-1.
+    rewriting it, and per variant the code strings of v and of the
+    insert word u v^-1.  Letter codes are code points, so an alphabet of
+    more than MAX_CODES letters is refused with WordTooLongError.
     """
 
     def __init__(self, pres: ArtinPresentation):
+        if 2 * len(pres.generators) > MAX_CODES:
+            raise WordTooLongError(
+                f"{len(pres.generators)} generators spell more than {MAX_CODES} letter codes"
+            )
         self.letters = tuple((g, s) for g in sorted(pres.generators) for s in (-1, 1))
         self.code = {letter: c for c, letter in enumerate(self.letters)}
         self.pairs = []
@@ -440,18 +453,18 @@ class _Rules:
             if 16 * m * m > MAX_CERT_LETTERS:
                 raise WordTooLongError(f"the rules of m({a},{b}) = {m} spell more than {MAX_CERT_LETTERS} letters")
             rules = relator_rules(pres, a, b)
-            windows: dict[tuple[int, ...], list[int]] = {}
+            windows: dict[str, list[int]] = {}
             variants = []
             for variant, (u, v) in enumerate(rules):
                 windows.setdefault(self.encode(u), []).append(variant)
                 variants.append((self.encode(v), self.encode(u + _inv_word(v))))
             self.pairs.append(((a, b), len(rules[0][0]), windows, variants))
 
-    def encode(self, letters) -> tuple[int, ...]:
-        return tuple(self.code[l] for l in letters)
+    def encode(self, letters) -> str:
+        return "".join([chr(self.code[l]) for l in letters])
 
-    def decode(self, codes: tuple[int, ...]) -> tuple[Letter, ...]:
-        return tuple(self.letters[c] for c in codes)
+    def decode(self, codes: str) -> tuple[Letter, ...]:
+        return tuple([self.letters[ord(c)] for c in codes])
 
 
 @lru_cache(maxsize=64)
@@ -461,23 +474,23 @@ def _rule_table(pres: ArtinPresentation) -> _Rules:
     return _Rules(pres)
 
 
-def _splice(letters: tuple[int, ...], pos: int, end: int, mid: tuple[int, ...]):
+def _splice(letters: str, pos: int, end: int, mid: str):
     """Free reduction of letters[:pos] + mid + letters[end:], as three
-    slices to concatenate.
+    code strings to concatenate.
 
     Both `letters` and `mid` are freely reduced, so only the junctions
     can cancel: first the left one, then the right one, and once `mid`
     is used up, the prefix against the suffix.
     """
     i, j, k, s, n = pos, 0, len(mid), end, len(letters)
-    while i and j < k and letters[i - 1] ^ 1 == mid[j]:
+    while i and j < k and ord(letters[i - 1]) ^ 1 == ord(mid[j]):
         i -= 1
         j += 1
-    while j < k and s < n and mid[k - 1] ^ 1 == letters[s]:
+    while j < k and s < n and ord(mid[k - 1]) ^ 1 == ord(letters[s]):
         k -= 1
         s += 1
     if j == k:
-        while i and s < n and letters[i - 1] ^ 1 == letters[s]:
+        while i and s < n and ord(letters[i - 1]) ^ 1 == ord(letters[s]):
             i -= 1
             s += 1
     return letters[:i], mid[j:k], letters[s:]
@@ -486,9 +499,14 @@ def _splice(letters: tuple[int, ...], pos: int, end: int, mid: tuple[int, ...]):
 # A transition op is ("rewrite"|"insert", pos, (a, b), variant).
 
 
-def _transitions(rules: _Rules, letters: tuple[int, ...], max_len: int):
-    """Successors of a freely reduced code tuple with their ops: per
-    pair and variant, rewrites by ascending position, then inserts."""
+def _transitions(rules: _Rules, letters: str, max_len: int):
+    """Successors of a freely reduced code string with their ops: per
+    pair and variant, rewrites by ascending position, then inserts.
+
+    An insert word is freely reduced too, so it cancels only against a
+    neighbour that inverts its first or its last letter; elsewhere the
+    successor is the plain concatenation, with no splice.
+    """
     n = len(letters)
     for pair, m, windows, variants in rules.pairs:
         hits: dict[int, list[int]] = {}
@@ -501,9 +519,14 @@ def _transitions(rules: _Rules, letters: tuple[int, ...], max_len: int):
                 a, b, c = _splice(letters, pos, pos + m, v)
                 yield a + b + c, ("rewrite", pos, pair, variant)
             if can_insert:
+                left, right = chr(ord(ins[0]) ^ 1), chr(ord(ins[-1]) ^ 1)
                 for pos in range(n + 1):
-                    a, b, c = _splice(letters, pos, pos, ins)
-                    yield a + b + c, ("insert", pos, pair, variant)
+                    if pos and letters[pos - 1] == left or pos < n and letters[pos] == right:
+                        a, b, c = _splice(letters, pos, pos, ins)
+                        nxt = a + b + c
+                    else:
+                        nxt = letters[:pos] + ins + letters[pos:]
+                    yield nxt, ("insert", pos, pair, variant)
 
 
 def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tuple[Move, ...]:
@@ -523,7 +546,7 @@ def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tupl
     return tuple(moves)
 
 
-def _reconstruct(parents: dict, state: tuple) -> list:
+def _reconstruct(parents: dict, state: str) -> list:
     """Op chain from the search root to `state`."""
     chain = []
     while True:
@@ -552,6 +575,10 @@ def _search(
     hold `budget.max_states` states, or states that spell
     `budget.max_states * budget.max_len` letters in all, which only
     roots longer than `budget.max_len` can reach first.
+
+    The roots are letter tuples; the states are their code strings, and
+    a heap entry (len, depth, state) orders them as it would the letter
+    tuples, since code strings compare code point by code point.
     """
     source, *target = roots
     if len(source) <= goal or target == [source]:
@@ -566,11 +593,11 @@ def _search(
     held, best = len(codes), codes[0]
     letters, max_letters = sum(map(len, codes)), budget.max_states * budget.max_len
 
-    def path(side: int, state: tuple) -> tuple[Move, ...]:
+    def path(side: int, state: str) -> tuple[Move, ...]:
         chain = _reconstruct(parents[side], state)
         return tuple(mv for prev, op in chain for mv in _expand_op(pres, rules.decode(prev), op))
 
-    def finish(state: tuple):
+    def finish(state: str):
         if target:
             return target[0], path(0, state) + _undo(path(1, state))
         return rules.decode(state), path(0, state)

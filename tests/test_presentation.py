@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,33 @@ def test_presentation_lookup_and_symmetry():
     assert pres.m("s", "r") is INFINITY
     with pytest.raises(KeyError):
         pres.m("s", "s")
+
+
+def reference_finite_pairs(pres):
+    """One test per generator pair: the reference for `finite_pairs`."""
+    gens = pres.generators
+    return [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :] if pres.m(a, b) is not None]
+
+
+def test_finite_pairs_match_the_double_loop():
+    rng = random.Random(29)
+    for _ in range(300):
+        gens = rng.sample([f"g{i}" for i in range(12)], rng.randint(1, 12))
+        pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+        table = {}
+        for a, b in rng.sample(pairs, rng.randint(0, len(pairs))):
+            table[(a, b) if rng.random() < 0.5 else (b, a)] = rng.choice((2, 3, 4, None))
+        pres = ArtinPresentation(gens, table)
+        assert pres.finite_pairs() == reference_finite_pairs(pres), (gens, table)
+
+
+def test_finite_pairs_cost_the_relations_not_the_generators():
+    # 4,002 generators and one relation: about 8 million pair tests for
+    # the double loop, one table entry here
+    pres = ArtinPresentation(["s", "t"] + [f"g{i}" for i in range(4000)], {("t", "s"): 3})
+    t0 = time.perf_counter()
+    assert pres.finite_pairs() == [("s", "t")]
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_presentation_rejects_bad_exponent():

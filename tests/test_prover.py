@@ -19,6 +19,7 @@ from artinflats import prover
 from artinflats.presentation import ArtinPresentation, Word, balanced_rewrites
 from artinflats.prover import (
     MAX_CERT_LETTERS,
+    MAX_CODES,
     Budget,
     Certificate,
     Move,
@@ -28,6 +29,7 @@ from artinflats.prover import (
     _inv_word,
     _Rules,
     _check_window,
+    _inv,
     _conjugation_chain,
     _find_commutator_split,
     _search,
@@ -595,6 +597,49 @@ def test_transitions_match_naive_reference(name, m3, m4):
             for max_len in (length + 2 * m - 1, length + 2 * m, 64):
                 got = [(rules.decode(s), op) for s, op in _transitions(rules, rules.encode(w), max_len)]
                 assert got == list(naive_transitions(pres, w, max_len)), (w, max_len)
+
+
+@pytest.mark.parametrize("name", ["m3", "m4", "four"])
+def test_inserts_that_cancel_at_a_junction_match_naive_reference(name, m3, m4):
+    # words spelled from inverted ends of insert words, so that at many
+    # positions the left neighbour inverts an insert's first letter or
+    # the right neighbour its last: the inserts that need a splice
+    pres = {"m3": m3, "m4": m4, "four": FOUR}[name]
+    rules = _Rules(pres)
+    rng = random.Random(41)
+    left = right = both = 0
+    for a, b in pres.finite_pairs():
+        for u, v in relator_rules(pres, a, b):
+            ins = u + _inv_word(v)
+            first, last = _inv(ins[0]), _inv(ins[-1])
+            for _ in range(2):
+                w = ()
+                while len(w) < 16:
+                    k = rng.randint(1, len(ins))
+                    piece = _inv_word(ins[:k]) if rng.random() < 0.5 else _inv_word(ins[-k:])
+                    w = reduction_moves(w + piece + random_reduced(pres, rng, rng.randint(0, 2)))[0]
+                for pos in range(len(w) + 1):
+                    at_left, at_right = pos > 0 and w[pos - 1] == first, pos < len(w) and w[pos] == last
+                    left, right, both = left + at_left, right + at_right, both + (at_left and at_right)
+                got = [(rules.decode(s), op) for s, op in _transitions(rules, rules.encode(w), 64)]
+                assert got == list(naive_transitions(pres, w, 64)), w
+    assert min(left, right) > 100 and both > 30, (left, right, both)
+
+
+def test_searches_refuse_alphabets_beyond_the_code_points(run_cli, tmp_path):
+    # a search spells a letter as one code point: MAX_CODES // 2
+    # generators are the most it takes, and their last letter is U+10FFFF
+    gens = ["s", "t"] + [f"g{i}" for i in range(MAX_CODES // 2 - 2)]
+    rules = _Rules(ArtinPresentation(gens, {("s", "t"): 3}))
+    assert max(map(ord, rules.encode(rules.letters))) == 0x10FFFF
+    del rules
+    over = ArtinPresentation(gens + ["h"], {("s", "t"): 3})
+    with pytest.raises(WordTooLongError, match=f"more than {MAX_CODES} letter codes"):
+        prove_trivial(over, Word.parse("s1 t1 s1 t-1 s-1 t-1"))
+    path = tmp_path / "over.json"
+    path.write_text(over.to_json())
+    code, _, err = run_cli("prove", "--presentation", str(path), "--trivial", "s1 t1")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_splice_cancels_through_an_emptied_middle(m3):
