@@ -46,8 +46,8 @@ sorted order, so code strings sort like the letter tuples they spell
 and code c ^ 1 is the inverse of code c.  A string caches its hash and
 slices and joins in single copies, which keeps the search's seen-tests
 and successors cheap.  A transition only cancels at the junctions of
-the spliced-in window, an insert usually not even there, and states are
-decoded back to letters only along a found chain.
+the spliced-in window, and states are decoded back to letters only
+along a found chain.
 """
 
 from __future__ import annotations
@@ -505,7 +505,9 @@ def _transitions(rules: _Rules, letters: str, max_len: int):
 
     An insert word is freely reduced too, so it cancels only against a
     neighbour that inverts its first or its last letter; elsewhere the
-    successor is the plain concatenation, with no splice.
+    successor is the plain concatenation, with no splice.  On the
+    flat_certificates benchmark that holds for 69% of inserts, and it
+    cuts the benchmark's wall time by 10% (perf/BENCH_search_codes.json).
     """
     n = len(letters)
     for pair, m, windows, variants in rules.pairs:

@@ -626,13 +626,21 @@ def test_inserts_that_cancel_at_a_junction_match_naive_reference(name, m3, m4):
     assert min(left, right) > 100 and both > 30, (left, right, both)
 
 
-def test_searches_refuse_alphabets_beyond_the_code_points(run_cli, tmp_path):
-    # a search spells a letter as one code point: MAX_CODES // 2
-    # generators are the most it takes, and their last letter is U+10FFFF
+def test_searches_refuse_alphabets_beyond_the_code_points(run_cli, tmp_path, monkeypatch):
+    # a search spells a letter as one code point: MAX_CODES codes are
+    # all the code points there are, so MAX_CODES // 2 generators are
+    # the most it takes
+    assert chr(MAX_CODES - 1) == "\U0010ffff"
+    with pytest.raises(ValueError):
+        chr(MAX_CODES)
+    # the bound is inclusive (checked at a small MAX_CODES)
+    with monkeypatch.context() as patch:
+        patch.setattr(prover, "MAX_CODES", 8)
+        rules = _Rules(ArtinPresentation(["s", "t", "u", "v"], {("s", "t"): 3}))
+        assert len(rules.letters) == 8
+        with pytest.raises(WordTooLongError, match="more than 8 letter codes"):
+            _Rules(ArtinPresentation(["s", "t", "u", "v", "w"], {("s", "t"): 3}))
     gens = ["s", "t"] + [f"g{i}" for i in range(MAX_CODES // 2 - 2)]
-    rules = _Rules(ArtinPresentation(gens, {("s", "t"): 3}))
-    assert max(map(ord, rules.encode(rules.letters))) == 0x10FFFF
-    del rules
     over = ArtinPresentation(gens + ["h"], {("s", "t"): 3})
     with pytest.raises(WordTooLongError, match=f"more than {MAX_CODES} letter codes"):
         prove_trivial(over, Word.parse("s1 t1 s1 t-1 s-1 t-1"))
