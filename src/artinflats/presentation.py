@@ -110,18 +110,21 @@ class ArtinPresentation:
     def two_dimensional(self) -> bool:
         """True iff 1/m(a,b) + 1/m(b,c) + 1/m(a,c) <= 1 for all triples.
 
-        Infinite exponents contribute 0; the sum is evaluated exactly.
+        Infinite exponents contribute 0 and each finite 1/m is at most
+        1/2, so only a triangle of three finite pairs can sum above 1:
+        each finite pair is tried with the common finite neighbours of
+        its two generators, which costs nothing per infinite pair.  The
+        sum is evaluated exactly.
         """
-        gens = self.generators
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                for k in range(j + 1, len(gens)):
-                    total = Fraction(0)
-                    for a, b in ((gens[i], gens[j]), (gens[j], gens[k]), (gens[i], gens[k])):
-                        m = self.m(a, b)
-                        if m is not None:
-                            total += Fraction(1, m)
-                    if total > 1:
+        neighbours: dict[str, dict[str, int]] = {}
+        for a, b in self.finite_pairs():
+            m = self.m(a, b)
+            neighbours.setdefault(a, {})[b] = m
+            neighbours.setdefault(b, {})[a] = m
+        for near in neighbours.values():
+            for b, m in near.items():
+                for c in near.keys() & neighbours[b].keys():
+                    if Fraction(1, m) + Fraction(1, near[c]) + Fraction(1, neighbours[b][c]) > 1:
                         return False
         return True
 

@@ -274,7 +274,7 @@ def apply_move(pres: ArtinPresentation, letters: tuple[Letter, ...], move: Move)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     presentation: ArtinPresentation
     start: Word
@@ -430,28 +430,38 @@ def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tu
     return tuple(out), tuple(moves)
 
 
+def check_rule_table(pres: ArtinPresentation) -> None:
+    """Raise WordTooLongError unless the search's rule table of `pres`
+    can be built: at most MAX_CODES letter codes, and at most
+    MAX_CERT_LETTERS letters, 16 m^2, in the rules of each finite pair.
+    Case "a" of `subgroups.verify_abelian` builds no table but refuses
+    the same presentations."""
+    if 2 * len(pres.generators) > MAX_CODES:
+        raise WordTooLongError(
+            f"{len(pres.generators)} generators spell more than {MAX_CODES} letter codes"
+        )
+    for a, b in pres.finite_pairs():
+        m = pres.m(a, b)
+        if 16 * m * m > MAX_CERT_LETTERS:
+            raise WordTooLongError(f"the rules of m({a},{b}) = {m} spell more than {MAX_CERT_LETTERS} letters")
+
+
 class _Rules:
     """The balanced rules of a presentation over code strings.
 
     `pairs` holds, per finite pair in `finite_pairs` order, the pair,
     its window length m, a dict from each window u to the variants
     rewriting it, and per variant the code strings of v and of the
-    insert word u v^-1.  Letter codes are code points, so an alphabet of
-    more than MAX_CODES letters is refused with WordTooLongError.
+    insert word u v^-1.  Letter codes are code points, so
+    `check_rule_table` refuses an alphabet of more than MAX_CODES letters.
     """
 
     def __init__(self, pres: ArtinPresentation):
-        if 2 * len(pres.generators) > MAX_CODES:
-            raise WordTooLongError(
-                f"{len(pres.generators)} generators spell more than {MAX_CODES} letter codes"
-            )
+        check_rule_table(pres)
         self.letters = tuple((g, s) for g in sorted(pres.generators) for s in (-1, 1))
         self.code = {letter: c for c, letter in enumerate(self.letters)}
         self.pairs = []
         for a, b in pres.finite_pairs():
-            m = pres.m(a, b)
-            if 16 * m * m > MAX_CERT_LETTERS:
-                raise WordTooLongError(f"the rules of m({a},{b}) = {m} spell more than {MAX_CERT_LETTERS} letters")
             rules = relator_rules(pres, a, b)
             windows: dict[str, list[int]] = {}
             variants = []

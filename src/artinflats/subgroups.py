@@ -9,6 +9,13 @@ proves the defining commutator trivial and returns the replayable
 certificate, and `klein_pair` builds the twisted (index-two) variant
 a^-1 g a = g^-1 together with its certificate.
 
+`verify_abelian` searches each star factor of cases b-f once per
+process: a bounded memo keeps the factor certificates of the 64
+(presentation, first generator, factor, budget) keys used last, so a
+grid of instances or a repeated factor costs one search per key.  Case
+a needs no search at all; its cross pairs all have m = 2, and the
+certificate moves each letter of a^-1 through b by adjacent swaps.
+
 `read_off_generators` closes the loop with the tiling side: given a
 periodic patch with a consistent direction assignment, it derives the
 induced polarisation, walks the quotient graph and reads off a generator
@@ -23,22 +30,26 @@ shape, up to the symmetries of the exponent matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
+from artinflats import prover
 from artinflats.presentation import ArtinPresentation, LanguageTemplate, Word
 from artinflats.prover import (
     DEFAULT_BUDGET,
     Budget,
     Certificate,
+    Move,
     SearchBudgetError,
+    _search_letters,
+    check_rule_table,
     commutator_from_conjugation,
     compose_certificates,
     conjugated_certificate,
     conjugation_product,
     mirror_certificate,
-    prove_commutator,
-    prove_conjugation,
     prove_equal,
+    reduction_moves,
 )
 from artinflats.tiling import (
     DirectionAssignment,
@@ -183,23 +194,65 @@ def verify_abelian(
     factor is shown to commute with the first generator, the factor
     certificates are spliced into one for the whole second generator,
     and that conjugation certificate is upgraded to a commutator one.
+    Each factor certificate is searched once per (presentation, first
+    generator, factor, budget) and kept in a bounded per-process memo
+    of the 64 keys used last; a factor not found raises
+    SearchBudgetError.
+
+    Case a runs no search: every cross pair has m = 2, so adjacent swaps
+    build the certificate, and `budget` does not apply to it.
     """
     w1, w2 = family(case, exponents, presentation=presentation, left=left, right=right)
     if case == "a":
-        cert = prove_commutator(presentation, w1, w2, budget)
-        if cert is None:
-            raise SearchBudgetError(f"no commutator certificate for {w1} vs {w2}")
-        return cert
+        return _swap_certificate(presentation, w1, w2)
     fam = flat_family(case)
     factors = [fam.template.word([f]) for f in _factor_tuples(exponents)]
     certs = []
     for f in factors:
-        c = prove_conjugation(fam.presentation, w1, f, budget)
+        c = _factor_certificate(fam.presentation, w1, f, budget)
         if c is None:
             raise SearchBudgetError(f"no conjugation certificate for factor {f}")
         certs.append(c)
     conj = conjugation_product(fam.presentation, w1, factors, certs)
     return commutator_from_conjugation(conj)
+
+
+@lru_cache(maxsize=64)
+def _factor_certificate(
+    pres: ArtinPresentation, w1: Word, factor: Word, budget: Budget
+) -> Certificate | None:
+    """`prove_conjugation` of one star factor, remembered for the 64 keys
+    used last in this process: a grid of instances, or a factor repeated
+    within one instance, proves the same factor again and again.  The
+    budget is part of the key, so a miss (None) holds for its own budget
+    only."""
+    return prover.prove_conjugation(pres, w1, factor, budget)
+
+
+def _swap_certificate(pres: ArtinPresentation, w1: Word, w2: Word) -> Certificate:
+    """Certificate red(a b a^-1 b^-1) -> empty for words a, b on disjoint
+    generator sets with m = 2 across them, built by adjacent swaps with
+    no search.
+
+    Each letter of a^-1, from the first, moves left through b by |b|
+    window rules (y x) -> (x y) and cancels against its letter of a;
+    then b b^-1 cancels: |a| |b| relator moves and |a| + |b| cancels.
+    A word or presentation that the search would refuse is refused the
+    same way, with WordTooLongError.
+    """
+    a, b = _search_letters(w1), _search_letters(w2)
+    check_rule_table(pres)
+    moves = []
+    for i in reversed(range(len(a))):
+        g, s = a[i]
+        x = (g, -s)
+        for j in reversed(range(len(b))):
+            moves.append(Move("relator", i + 1 + j, rule=((b[j], x), (x, b[j]))))
+        moves.append(Move("cancel", i, letter=a[i]))
+    b_inv = tuple(w2.inverse().letters())
+    moves += reduction_moves(b + b_inv)[1]
+    start = Word.from_letters(a + b + tuple(w1.inverse().letters()) + b_inv)
+    return Certificate(pres, start, Word(), tuple(moves))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Words, presentations, and the star-of-factors word templates."""
 
 import hashlib
+import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +165,34 @@ def test_two_dimensional():
     # missing relations count as infinity and can only help
     free_ish = ArtinPresentation(("s", "t", "r"), {("s", "t"): 2})
     assert free_ish.two_dimensional()
+
+
+def _two_dimensional_by_triples(pres):
+    return all(
+        sum(Fraction(1, m) for m in (pres.m(a, b) for a, b in itertools.combinations(triple, 2)) if m) <= 1
+        for triple in itertools.combinations(pres.generators, 3)
+    )
+
+
+def test_two_dimensional_agrees_with_every_triple():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        gens = [f"g{i}" for i in range(rng.randint(1, 6))]
+        table = {p: rng.choice((2, 2, 3, 3, 4, 6, None)) for p in itertools.combinations(gens, 2)}
+        pres = ArtinPresentation(gens, table)
+        verdict = pres.two_dimensional()
+        assert verdict == _two_dimensional_by_triples(pres), pres
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_two_dimensional_skips_infinite_pairs():
+    # 280,840 triples, all but 118 of them with no finite pair
+    wide = ArtinPresentation([f"g{i}" for i in range(120)], {("g0", "g1"): 2})
+    t0 = time.perf_counter()
+    assert wide.two_dimensional()
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_json_roundtrip():

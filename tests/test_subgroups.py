@@ -8,17 +8,19 @@ frozen as regression values.
 """
 
 import hashlib
+import itertools
 import random
 import sys
 
 import pytest
 
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats import presentation, prover
+from artinflats import presentation, prover, subgroups
 from artinflats.prover import (
     Budget,
     Certificate,
     SearchBudgetError,
+    WordTooLongError,
     invert_certificate,
     mirror_certificate,
     prove_commutator,
@@ -128,23 +130,60 @@ def test_verify_abelian_certificates_replay():
         assert len(cert.moves) == moves, (case, exps)
 
 
-def test_verify_abelian_case_a():
+def test_verify_abelian_case_a(monkeypatch):
     four = ArtinPresentation(
         ("s", "t", "u", "v"),
         {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
     )
-    cert = verify_abelian(
-        "a", presentation=four, left=Word.parse("s1 t1"), right=Word.parse("u2 v-1")
-    )
-    assert replay(cert) and not cert.end.syllables
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("case a reached the search")
+
+    monkeypatch.setattr(prover, "_search", no_search)
+    for left, right in (("s1 t1", "u2 v-1"), ("s2 t-1", "u1 v2"), ("t-2", "v1 u-1 v3")):
+        cert = verify_abelian("a", presentation=four, left=left, right=right)
+        a, b = Word.parse(left), Word.parse(right)
+        assert cert.start == a * b * a.inverse() * b.inverse()
+        assert replay(cert) and not cert.end.syllables
+        # |a| |b| swaps and |a| + |b| cancels
+        la, lb = a.letter_length(), b.letter_length()
+        assert len(cert.moves) == la * lb + la + lb, (left, right)
+    # a presentation the search would refuse is refused here too
+    monkeypatch.setattr(prover, "MAX_CODES", 6)
+    with pytest.raises(WordTooLongError, match="more than 6 letter codes"):
+        verify_abelian("a", presentation=four, left="s1", right="u1")
 
 
 def test_verify_abelian_budget_exhaustion_raises():
+    # the memo holds the default budget's certificates; a smaller budget
+    # must still search, and fail, on its own
+    assert replay(verify_abelian("e", [2, 2]))
     with pytest.raises(SearchBudgetError):
         verify_abelian("e", [2, 2], budget=Budget(max_states=50))
 
 
+def test_factor_memo_hit_equals_a_fresh_search(monkeypatch):
+    calls = []
+    prove = prover.prove_conjugation
+
+    def counting_prove(*args):
+        calls.append(args)
+        return prove(*args)
+
+    monkeypatch.setattr(prover, "prove_conjugation", counting_prove)
+    subgroups._factor_certificate.cache_clear()
+    fresh = verify_abelian("c", [(1, 2), (1, 2)])
+    assert len(calls) == 1  # the repeated factor is searched once
+    hit = verify_abelian("c", [(1, 2), (1, 2)])
+    assert len(calls) == 1
+    assert hit == fresh and hit.to_json() == fresh.to_json()
+
+
 def test_verify_abelian_builds_one_rule_table(monkeypatch):
+    # with warm caches nothing would be built, and the bound would hold
+    # vacuously
+    prover._rule_table.cache_clear()
+    subgroups._factor_certificate.cache_clear()
     built = []
     init = prover._Rules.__init__
 
@@ -154,7 +193,7 @@ def test_verify_abelian_builds_one_rule_table(monkeypatch):
 
     monkeypatch.setattr(prover._Rules, "__init__", counting_init)
     verify_abelian("b", [2, 1])
-    assert len(built) <= 1
+    assert len(built) == 1
 
 
 def test_klein_pair_and_composite():
@@ -195,6 +234,29 @@ def test_certificate_bytes_are_pinned(m3):
     certs.append(prove_commutator(m3, Word.parse("s1 t1 s1 s1 t1 s1"), Word.parse("t-1 s1 t1")))
     text = "\n".join(cert.to_json() for cert in certs)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
+
+
+# sha256 over the to_json() texts, joined by newlines, of criterion 5's
+# 324 certificates for cases b-f in the order the criterion proves them
+CRITERION_5_SHA256 = "adeeb824076147cf133f2c37687d9e118b91cf1c3dffe09cb2328c12c2d75869"
+
+
+def test_criterion_5_certificate_bytes_are_pinned():
+    ks = (1, -1, 2, -2)
+    grid = []
+    for case in "bdef":
+        grid += [(case, [k]) for k in ks] + [(case, list(p)) for p in itertools.product(ks, ks)]
+    singles = list(itertools.product(ks, ks))
+    grid += [("c", [f]) for f in singles] + [("c", [f, g]) for f in singles for g in singles]
+    texts = []
+    for case, exps in grid:
+        try:
+            family(case, exps)
+        except ValueError:
+            continue
+        texts.append(verify_abelian(case, exps).to_json())
+    assert len(texts) == 324
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CRITERION_5_SHA256
 
 
 def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
