@@ -15,6 +15,9 @@ process: a bounded memo keeps the factor certificates of the 64
 grid of instances or a repeated factor costs one search per key.  Case
 a needs no search at all; its cross pairs all have m = 2, and the
 certificate moves each letter of a^-1 through b by adjacent swaps.
+Its |a| |b| + |a| + |b| moves are capped at MAX_CERT_LETTERS, the cap
+on a certificate word, and a pair over the cap is refused before any
+move is built.
 
 `read_off_generators` closes the loop with the tiling side: given a
 periodic patch with a consistent direction assignment, it derives the
@@ -39,9 +42,10 @@ from artinflats.prover import (
     DEFAULT_BUDGET,
     Budget,
     Certificate,
+    MAX_CERT_LETTERS,
     Move,
     SearchBudgetError,
-    _search_letters,
+    WordTooLongError,
     check_rule_table,
     commutator_from_conjugation,
     compose_certificates,
@@ -200,7 +204,9 @@ def verify_abelian(
     SearchBudgetError.
 
     Case a runs no search: every cross pair has m = 2, so adjacent swaps
-    build the certificate, and `budget` does not apply to it.
+    build the certificate, and `budget` does not apply to it.  A case a
+    certificate of more than MAX_CERT_LETTERS moves raises
+    WordTooLongError before it is built.
     """
     w1, w2 = family(case, exponents, presentation=presentation, left=left, right=right)
     if case == "a":
@@ -237,17 +243,29 @@ def _swap_certificate(pres: ArtinPresentation, w1: Word, w2: Word) -> Certificat
     Each letter of a^-1, from the first, moves left through b by |b|
     window rules (y x) -> (x y) and cancels against its letter of a;
     then b b^-1 cancels: |a| |b| relator moves and |a| + |b| cancels.
-    A word or presentation that the search would refuse is refused the
-    same way, with WordTooLongError.
+    A certificate of more than MAX_CERT_LETTERS moves is refused with
+    WordTooLongError before any move is built, and so is a presentation
+    whose rule table the search would refuse.
     """
-    a, b = _search_letters(w1), _search_letters(w2)
+    la, lb = w1.letter_length(), w2.letter_length()
+    if la * lb + la + lb > MAX_CERT_LETTERS:
+        raise WordTooLongError(
+            f"the swap certificate of {la} x {lb} letters would take more than {MAX_CERT_LETTERS} moves"
+        )
     check_rule_table(pres)
+    a, b = tuple(w1.letters()), tuple(w2.letters())
+    # one rule tuple per (letter of b, letter of a^-1), shared by its moves
+    rules: dict = {}
     moves = []
     for i in reversed(range(len(a))):
         g, s = a[i]
         x = (g, -s)
         for j in reversed(range(len(b))):
-            moves.append(Move("relator", i + 1 + j, rule=((b[j], x), (x, b[j]))))
+            window = (b[j], x)
+            rule = rules.get(window)
+            if rule is None:
+                rule = rules[window] = (window, (x, b[j]))
+            moves.append(Move("relator", i + 1 + j, rule=rule))
         moves.append(Move("cancel", i, letter=a[i]))
     b_inv = tuple(w2.inverse().letters())
     moves += reduction_moves(b + b_inv)[1]

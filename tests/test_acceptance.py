@@ -6,6 +6,7 @@ Frozen counts are regression values from the first full runs; the
 sweeps recompute them from scratch each time.
 """
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -143,10 +144,16 @@ def test_criterion_4_rigidity_exhaustive():
             f"x4 counts {frozen} all rigid; naive enumeration agrees at x1 (all) and x2 (E333)")
 
 
+# sha256 over the to_json() texts, joined by newlines, of criterion 5's
+# 324 certificates for cases b-f in the order the criterion proves them
+CRITERION_5_SHA256 = "adeeb824076147cf133f2c37687d9e118b91cf1c3dffe09cb2328c12c2d75869"
+
+
 def test_criterion_5_flat_families_abelian():
     ks = (1, -1, 2, -2)
     proved = degenerate = 0
     ok = True
+    texts = []
 
     def run(case, exps):
         nonlocal proved, degenerate, ok
@@ -158,6 +165,7 @@ def test_criterion_5_flat_families_abelian():
         cert = verify_abelian(case, exps)
         ok &= replay(cert) and not cert.end.syllables
         ok &= abelianization_independent(w1, w2, ("s", "t", "r"))
+        texts.append(cert.to_json())
         proved += 1
 
     for case in "bdef":
@@ -170,6 +178,8 @@ def test_criterion_5_flat_families_abelian():
     for f1 in itertools.product(ks, ks):
         for f2 in itertools.product(ks, ks):
             run("c", [f1, f2])
+    bytes_pinned = hashlib.sha256("\n".join(texts).encode()).hexdigest() == CRITERION_5_SHA256
+    ok &= bytes_pinned
 
     four = ArtinPresentation(
         ("s", "t", "u", "v"),
@@ -190,7 +200,8 @@ def test_criterion_5_flat_families_abelian():
     # 4 cases x (4 + 12 surviving) + f's 20 + c's (16 + 240) + a's 400
     ok &= proved == 3 * 16 + 20 + 256 + 400 and degenerate == 3 * 4 + 16
     _report(5, ok, f"{proved} commutator certificates replayed, "
-                   f"{degenerate} degenerate parameter tuples rejected")
+                   f"{degenerate} degenerate parameter tuples rejected, "
+                   f"b-f certificate bytes {'match' if bytes_pinned else 'differ from'} the pin")
 
 
 def test_criterion_6_klein_bottle_relation():

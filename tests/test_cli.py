@@ -529,6 +529,24 @@ def test_searches_refuse_a_rule_table_too_long_to_build(run_cli, tmp_path):
         assert f"more than {MAX_CERT_LETTERS}" in result[2]
 
 
+def test_case_a_refuses_a_certificate_over_the_move_cap(run_cli, tmp_path):
+    # s1000 vs u1000 would take 1000 x 1000 swaps and 2000 cancels
+    pres = tmp_path / "four.json"
+    pres.write_text(
+        ArtinPresentation(
+            ("s", "t", "u", "v"),
+            {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
+        ).to_json()
+    )
+    t0 = time.perf_counter()
+    result = run_cli(
+        "families", "--case", "a", "--presentation", str(pres), "--left", "s1000", "--right", "u1000", "--verify"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    _assert_usage_error(result)
+    assert f"more than {MAX_CERT_LETTERS} moves" in result[2]
+
+
 def test_unwritable_output_is_a_usage_error(run_cli, pres_files, tmp_path):
     out = str(tmp_path / "missing" / "out")
     for args in (

@@ -8,15 +8,16 @@ frozen as regression values.
 """
 
 import hashlib
-import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats import presentation, prover, subgroups
 from artinflats.prover import (
+    MAX_CERT_LETTERS,
     Budget,
     Certificate,
     SearchBudgetError,
@@ -130,11 +131,14 @@ def test_verify_abelian_certificates_replay():
         assert len(cert.moves) == moves, (case, exps)
 
 
+FOUR = ArtinPresentation(
+    ("s", "t", "u", "v"),
+    {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
+)
+
+
 def test_verify_abelian_case_a(monkeypatch):
-    four = ArtinPresentation(
-        ("s", "t", "u", "v"),
-        {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
-    )
+    four = FOUR
 
     def no_search(*args, **kwargs):
         raise AssertionError("case a reached the search")
@@ -152,6 +156,25 @@ def test_verify_abelian_case_a(monkeypatch):
     monkeypatch.setattr(prover, "MAX_CODES", 6)
     with pytest.raises(WordTooLongError, match="more than 6 letter codes"):
         verify_abelian("a", presentation=four, left="s1", right="u1")
+
+
+def test_case_a_refuses_a_certificate_over_the_move_cap(monkeypatch):
+    # s1000000 and u1000000 pass the word check, but their certificate
+    # would take 10^12 moves: it is refused before a letter is expanded
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordTooLongError, match=f"more than {MAX_CERT_LETTERS} moves"):
+            verify_abelian("a", presentation=FOUR, left="s1000000", right="u1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the cap counts |a| |b| swaps and |a| + |b| cancels: under a cap of
+    # 35, s5 vs u5 (25 + 10) is built and s5 vs u6 (30 + 11) is refused
+    monkeypatch.setattr(subgroups, "MAX_CERT_LETTERS", 35)
+    assert len(verify_abelian("a", presentation=FOUR, left="s5", right="u5").moves) == 35
+    with pytest.raises(WordTooLongError, match="more than 35 moves"):
+        verify_abelian("a", presentation=FOUR, left="s5", right="u6")
 
 
 def test_verify_abelian_budget_exhaustion_raises():
@@ -234,29 +257,6 @@ def test_certificate_bytes_are_pinned(m3):
     certs.append(prove_commutator(m3, Word.parse("s1 t1 s1 s1 t1 s1"), Word.parse("t-1 s1 t1")))
     text = "\n".join(cert.to_json() for cert in certs)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256
-
-
-# sha256 over the to_json() texts, joined by newlines, of criterion 5's
-# 324 certificates for cases b-f in the order the criterion proves them
-CRITERION_5_SHA256 = "adeeb824076147cf133f2c37687d9e118b91cf1c3dffe09cb2328c12c2d75869"
-
-
-def test_criterion_5_certificate_bytes_are_pinned():
-    ks = (1, -1, 2, -2)
-    grid = []
-    for case in "bdef":
-        grid += [(case, [k]) for k in ks] + [(case, list(p)) for p in itertools.product(ks, ks)]
-    singles = list(itertools.product(ks, ks))
-    grid += [("c", [f]) for f in singles] + [("c", [f, g]) for f in singles for g in singles]
-    texts = []
-    for case, exps in grid:
-        try:
-            family(case, exps)
-        except ValueError:
-            continue
-        texts.append(verify_abelian(case, exps).to_json())
-    assert len(texts) == 324
-    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == CRITERION_5_SHA256
 
 
 def test_replay_shares_no_code_with_the_search(monkeypatch, m3, m4):
