@@ -456,7 +456,7 @@ def cmd_families(args) -> int:
         if not replay(cert):
             print("commutator certificate FAILED to replay", file=sys.stderr)
             return EXIT_VERIFY
-        payload["certificate"] = json.loads(cert.to_json())
+        payload["certificate"] = cert.to_dict()
         payload["moves"] = len(cert.moves)
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
@@ -478,7 +478,7 @@ def cmd_klein(args) -> int:
         "k": args.k,
         "a": str(pair.a),
         "gprime": str(pair.gprime),
-        **{name: json.loads(cert.to_json()) for name, cert in certs.items()},
+        **{name: cert.to_dict() for name, cert in certs.items()},
     }
     if args.output:
         _emit(args, json.dumps(payload, indent=2))

@@ -64,7 +64,8 @@ Polarisation = dict[int, int]  # cell index -> diagonal index in [0, m)
 
 
 class RigidityError(Exception):
-    """No witness exists — a counterexample to the rigidity property."""
+    """An edge class has no edge on a maximal cell, so it has no
+    e-translation (raised by `e_translation`)."""
 
 
 @dataclass(frozen=True)
@@ -401,16 +402,6 @@ def rigidity_witnesses(patch: Patch, l: Polarisation) -> list[RigidityWitness]:
         if preserves(patch, l, rho):
             out.append(RigidityWitness(cls, rho))
     return out
-
-
-def check_rigidity(patch: Patch, l: Polarisation) -> RigidityWitness:
-    """First witness for the rigidity property: raises RigidityError
-    when no edge class + translation works, which would contradict the
-    property and must never happen for admissible polarisations."""
-    witnesses = rigidity_witnesses(patch, l)
-    if not witnesses:
-        raise RigidityError("no polarisation-preserving e-translation found")
-    return witnesses[0]
 
 
 # ---------------------------------------------------------------------------

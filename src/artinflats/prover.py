@@ -1,19 +1,22 @@
 """Certificate-producing word-problem prover.
 
 A certificate is a start word, an end word, and a list of elementary
-moves, each of which is checkable in isolation:
+moves, each of which is checkable in isolation.  A move (pos, u, v)
+replaces the window u at pos by v; JSON names three kinds of it:
 
-    cancel  -- delete an adjacent inverse pair  g^e g^-e  at a position
-    insert  -- insert such a pair
-    relator -- replace a window u by v, where u -> v is a balanced
-               relator rule: {"kind": "relator", "pos": 3,
-               "from": "s1 t1 s1", "to": "t1 s1 t1"} in JSON version 2
+    cancel  -- u = g^e g^-e, v empty: {"kind": "cancel", "pos": 3,
+               "letter": ["s", 1]} deletes s1 s-1 at position 3
+    insert  -- u empty, v = g^e g^-e: the same fields
+    relator -- u -> v a balanced relator rule: {"kind": "relator",
+               "pos": 3, "from": "s1 t1 s1", "to": "t1 s1 t1"} in
+               JSON version 2
 
 `replay` is a tiny independent interpreter that shares no code with the
 search.  It reads the pair off a window's letters and checks the window
 from m alone, in O(m), as a rotation of the defining relator or of its
-inverse.  A move inverts by swapping u and v and mirrors by inverting
-both.  Version 1 relator moves named a rule by its index in the
+inverse.  A move inverts by swapping u and v, mirrors by inverting both
+and moving pos to n - pos - |u| on a word of n letters, and changes n
+by |v| - |u|.  Version 1 relator moves named a rule by its index in the
 search's table; they are converted to windows for m <= V1_MAX_M.
 
 The search works on freely reduced letter tuples.  A transition is a
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import json
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from artinflats.presentation import ArtinPresentation, Word, balanced_rewrites
@@ -107,17 +110,23 @@ def _parse_window(text) -> tuple[Letter, ...]:
 
 @dataclass(frozen=True)
 class Move:
-    kind: str  # "cancel" | "insert" | "relator"
+    """Replace the window u at `pos` by v: a cancel is x x^-1 -> empty,
+    an insert empty -> x x^-1, a relator move a balanced rule u -> v."""
+
     pos: int
-    letter: Letter | None = None  # for cancel/insert
-    rule: tuple[tuple[Letter, ...], tuple[Letter, ...]] | None = None  # (u, v) for relator
+    u: tuple[Letter, ...]
+    v: tuple[Letter, ...]
+
+    @property
+    def kind(self) -> str:
+        return "insert" if not self.u else "cancel" if not self.v else "relator"
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "pos": self.pos}
-        if self.kind in ("cancel", "insert"):
-            d["letter"] = [self.letter[0], self.letter[1]]
+        if self.u and self.v:
+            d["from"], d["to"] = str(Word.from_letters(self.u)), str(Word.from_letters(self.v))
         else:
-            d["from"], d["to"] = (str(Word.from_letters(side)) for side in self.rule)
+            d["letter"] = list((self.u or self.v)[0])
         return d
 
     @classmethod
@@ -134,11 +143,14 @@ class Move:
                 and type(letter[1]) is int and letter[1] in (1, -1),
                 f"a move letter is [generator, 1 or -1], got {letter!r}",
             )
-            return cls(kind, pos, letter=tuple(letter))
+            pair = (tuple(letter), (letter[0], -letter[1]))
+            return cls(pos, pair, ()) if kind == "cancel" else cls(pos, (), pair)
         _strict(kind == "relator", f"unknown move kind {kind!r}")
         if v1 is not None:
-            return cls(kind, pos, rule=_v1_rule(v1, d.get("pair"), d.get("variant")))
-        return cls(kind, pos, rule=(_parse_window(d.get("from")), _parse_window(d.get("to"))))
+            return cls(pos, *_v1_rule(v1, d.get("pair"), d.get("variant")))
+        # An empty side parses, but a window is freely reduced, so it is
+        # never the pair of a cancel or insert and `apply_move` refuses it.
+        return cls(pos, _parse_window(d.get("from")), _parse_window(d.get("to")))
 
 
 def _inv(letter: Letter) -> Letter:
@@ -216,57 +228,27 @@ def _check_window(pres: ArtinPresentation, u: tuple[Letter, ...], v: tuple[Lette
         raise ReplayError(f"{Word.from_letters(u)} -> {Word.from_letters(v)} is not a relator rule of {tuple(gens)}")
 
 
-def invert_move(move: Move) -> Move:
-    if move.kind == "cancel":
-        return Move("insert", move.pos, letter=move.letter)
-    if move.kind == "insert":
-        return Move("cancel", move.pos, letter=move.letter)
-    u, v = move.rule
-    return Move("relator", move.pos, rule=(v, u))
-
-
 def _undo(moves) -> tuple[Move, ...]:
     """The moves that take a move sequence's end back to its start."""
-    return tuple(invert_move(m) for m in reversed(moves))
+    return tuple(Move(m.pos, m.v, m.u) for m in reversed(moves))
 
 
-def mirror_move(move: Move, length: int) -> Move:
-    """Image of `move` under word inversion.
-
-    `length` is the length of the word the move applies to.  Position i
-    of that word sits at position length-1-i of its inverse with the
-    letter inverted, so a cancelling pair (x, x^-1) at (p, p+1) reads as
-    (x, x^-1) again at (length-2-p, length-1-p), and a relator window
-    [p, p+m) lands on [length-p-m, length-p) with both rule sides
-    inverted letterwise.
-    """
-    if move.kind == "cancel":
-        return Move("cancel", length - 2 - move.pos, letter=move.letter)
-    if move.kind == "insert":
-        return Move("insert", length - move.pos, letter=move.letter)
-    u, v = move.rule
-    return Move("relator", length - move.pos - len(u), rule=(_inv_word(u), _inv_word(v)))
-
-
-def apply_move(pres: ArtinPresentation, letters: tuple[Letter, ...], move: Move) -> tuple[Letter, ...]:
-    """Strictly validated single-move application (used by replay)."""
-    p, n = move.pos, len(letters)
-    if move.kind == "cancel":
-        if not (0 <= p <= n - 2 and letters[p] == move.letter and letters[p + 1] == _inv(move.letter)):
-            raise ReplayError(f"cancel at {p} does not match {move.letter}")
-        return letters[:p] + letters[p + 2 :]
-    if move.kind == "insert":
-        g, s = move.letter
-        if not (0 <= p <= n and g in pres.generators and s in (1, -1)):
-            raise ReplayError(f"cannot insert {move.letter} at {p}")
-        return letters[:p] + (move.letter, _inv(move.letter)) + letters[p:]
-    if move.kind == "relator":
-        u, v = move.rule
+def apply_move(pres: ArtinPresentation, letters: list[Letter], move: Move) -> None:
+    """Strictly validated single-move application, in place (used by
+    replay): a relator window must be a rule of `pres`, a cancel or
+    insert side exactly one pair g^e g^-e with e = +-1 (an insert's g a
+    generator of `pres`), and u must read at pos."""
+    p, u, v = move.pos, move.u, move.v
+    if u and v:
         _check_window(pres, u, v)
-        if p < 0 or letters[p : p + len(u)] != u:
-            raise ReplayError(f"window at {p} does not read {Word.from_letters(u)}")
-        return letters[:p] + v + letters[p + len(u) :]
-    raise ReplayError(f"unknown move kind {move.kind!r}")
+    elif not (
+        len(pair := u or v) == 2 and pair[0][1] in (1, -1) and pair[1] == _inv(pair[0])
+        and (u or pair[0][0] in pres.generators)
+    ):
+        raise ReplayError(f"{move.kind} at {p} is not one pair g^e g^-e of the presentation: {pair}")
+    if not (0 <= p <= len(letters) - len(u) and letters[p : p + len(u)] == list(u)):
+        raise ReplayError(f"window at {p} does not read {Word.from_letters(u)}")
+    letters[p : p + len(u)] = v
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +263,14 @@ class Certificate:
     end: Word
     moves: tuple[Move, ...]
 
-    def to_json(self) -> str:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "version": CERTIFICATE_VERSION, "presentation": self.presentation.to_dict(),
             "start": str(self.start), "end": str(self.end), "moves": [m.to_dict() for m in self.moves],
         }
-        return json.dumps(data, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -318,12 +302,15 @@ class Certificate:
 
 
 def replay(cert: Certificate) -> bool:
-    """Validate a certificate by running every move.  No search code."""
+    """Validate a certificate by running every move, in place, on one
+    letter list from the start word and comparing it with the end word.
+    No search code.  A relator move rewrites its window, but a cancel or
+    insert shifts the list's tail: O(moves x length) in the worst case."""
     try:
-        letters = tuple(cert.start.letters())
+        letters = cert.start.letters()
         for move in cert.moves:
-            letters = apply_move(cert.presentation, letters, move)
-        return letters == tuple(cert.end.letters())
+            apply_move(cert.presentation, letters, move)
+        return letters == cert.end.letters()
     except ReplayError:
         return False
 
@@ -335,21 +322,23 @@ def invert_certificate(cert: Certificate) -> Certificate:
 def mirror_certificate(cert: Certificate) -> Certificate:
     """Certificate from start^-1 to end^-1, mirroring each move in order.
 
-    Each move needs the length of the word it acts on, so the original
-    moves are replayed alongside the transformation.
+    Position i of a word of n letters sits at n-1-i of its inverse with
+    the letter inverted, so the window u at pos lands at n - pos - |u|
+    with both sides inverted.  Each move changes n by |v| - |u|, so no
+    move is applied or checked: a certificate that does not replay
+    mirrors to one that does not either.
     """
-    letters = tuple(cert.start.letters())
-    moves = []
+    n, moves = cert.start.letter_length(), []
     for mv in cert.moves:
-        moves.append(mirror_move(mv, len(letters)))
-        letters = apply_move(cert.presentation, letters, mv)
+        moves.append(Move(n - mv.pos - len(mv.u), _inv_word(mv.u), _inv_word(mv.v)))
+        n += len(mv.v) - len(mv.u)
     return Certificate(cert.presentation, cert.start.inverse(), cert.end.inverse(), tuple(moves))
 
 
 def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     if c1.presentation != c2.presentation:
         raise ValueError("certificates over different presentations")
-    if tuple(c1.end.letters()) != tuple(c2.start.letters()):
+    if c1.end != c2.start:
         raise ValueError("certificates do not chain: end of first != start of second")
     return Certificate(c1.presentation, c1.start, c2.end, c1.moves + c2.moves)
 
@@ -388,7 +377,7 @@ def conjugated_certificate(cert: Certificate, w: Word) -> Certificate:
 
 
 def _shift_moves(moves: tuple[Move, ...], offset: int) -> tuple[Move, ...]:
-    return tuple(replace(m, pos=m.pos + offset) for m in moves)
+    return tuple(Move(m.pos + offset, m.u, m.v) for m in moves)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +413,7 @@ def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tu
     out: list[Letter] = []
     for l in letters:
         if out and out[-1][0] == l[0] and out[-1][1] == -l[1]:
-            moves.append(Move("cancel", len(out) - 1, letter=out.pop()))
+            moves.append(Move(len(out) - 1, (out.pop(), l), ()))
         else:
             out.append(l)
     return tuple(out), tuple(moves)
@@ -548,11 +537,11 @@ def _expand_op(pres: ArtinPresentation, letters: tuple[Letter, ...], op) -> tupl
     m = len(u)
     moves: list[Move] = []
     if kind == "rewrite":
-        moves.append(Move("relator", pos, rule=(u, v)))
+        moves.append(Move(pos, u, v))
         mid = letters[:pos] + v + letters[pos + m :]
     else:  # insert u * v^-1 at pos, built as v v^-1 then one rewrite v -> u
-        moves.extend(Move("insert", pos + j, letter=l) for j, l in enumerate(v))
-        moves.append(Move("relator", pos, rule=(v, u)))
+        moves.extend(Move(pos + j, (), (l, _inv(l))) for j, l in enumerate(v))
+        moves.append(Move(pos, v, u))
         mid = letters[:pos] + u + _inv_word(v) + letters[pos:]
     moves.extend(reduction_moves(mid)[1])
     return tuple(moves)

@@ -265,8 +265,8 @@ def _swap_certificate(pres: ArtinPresentation, w1: Word, w2: Word) -> Certificat
             rule = rules.get(window)
             if rule is None:
                 rule = rules[window] = (window, (x, b[j]))
-            moves.append(Move("relator", i + 1 + j, rule=rule))
-        moves.append(Move("cancel", i, letter=a[i]))
+            moves.append(Move(i + 1 + j, *rule))
+        moves.append(Move(i, (a[i], x), ()))
     b_inv = tuple(w2.inverse().letters())
     moves += reduction_moves(b + b_inv)[1]
     start = Word.from_letters(a + b + tuple(w1.inverse().letters()) + b_inv)

@@ -16,7 +16,6 @@ import pytest
 from artinflats.polarisation import (
     RigidityError,
     case0_instances,
-    check_rigidity,
     coverage,
     determined_values,
     diagonal_vertices,
@@ -256,35 +255,37 @@ def test_e_translations_frozen(name, scale):
             assert e_translation(patch, cls) == rho, cls
 
 
-def test_check_rigidity_returns_preserving_translation():
+def test_rigidity_witnesses_preserve_the_polarisation():
     for name in ADMISSIBLE_X1:
         patch = minimal_patch(TriangleType[name])
         for l in enumerate_admissible(patch):
-            w = check_rigidity(patch, l)
-            # rho maps chosen diagonals to chosen diagonals and is not
-            # parallel to the edge class it pairs with
-            ex, ey = w.edge_class
-            assert ex * w.rho[1] != ey * w.rho[0]
-            for ci, dpos in l.items():
-                cell = patch.cells[ci]
-                a, b = diagonal_vertices(cell, dpos)
-                ta, tb = (patch.translate_vertex(v, w.rho) for v in (a, b))
-                hit = [
-                    (cj, dj)
-                    for cj, dj in l.items()
-                    if set(diagonal_vertices(patch.cells[cj], dj)) == {ta, tb}
-                ]
-                assert len(hit) == 1
+            witnesses = rigidity_witnesses(patch, l)
+            assert witnesses
+            for w in witnesses:
+                # rho maps chosen diagonals to chosen diagonals and is
+                # not parallel to the edge class it pairs with
+                ex, ey = w.edge_class
+                assert ex * w.rho[1] != ey * w.rho[0]
+                for ci, dpos in l.items():
+                    cell = patch.cells[ci]
+                    a, b = diagonal_vertices(cell, dpos)
+                    ta, tb = (patch.translate_vertex(v, w.rho) for v in (a, b))
+                    hit = [
+                        (cj, dj)
+                        for cj, dj in l.items()
+                        if set(diagonal_vertices(patch.cells[cj], dj)) == {ta, tb}
+                    ]
+                    assert len(hit) == 1
 
 
-def test_check_rigidity_requires_admissible(patch333):
+def test_rigidity_witnesses_require_admissible(patch333):
     l = enumerate_admissible(patch333)[0]
     broken = dict(l)
     cells = sorted(broken)
     broken[cells[0]] = (broken[cells[0]] + 1) % patch333.cells[cells[0]].m
     assert not is_admissible(patch333, broken)
     with pytest.raises(ValueError):
-        check_rigidity(patch333, broken)
+        rigidity_witnesses(patch333, broken)
 
 
 def _agreeing(admissible, partial):

@@ -50,7 +50,7 @@ from artinflats.prover import (
     relator_rules,
     replay,
 )
-from artinflats.subgroups import family, flat_family
+from artinflats.subgroups import family, flat_family, verify_abelian
 
 
 def random_trivial_word(pres, rng, max_pairs=3):
@@ -77,20 +77,22 @@ def random_trivial_word(pres, rng, max_pairs=3):
 
 
 def test_apply_move_cancel_and_insert(m3):
-    letters = (("s", 1), ("s", -1))
-    assert apply_move(m3, letters, Move("cancel", 0, ("s", 1))) == ()
-    assert apply_move(m3, (), Move("insert", 0, ("t", -1))) == (("t", -1), ("t", 1))
+    letters = [("s", 1), ("s", -1)]
+    apply_move(m3, letters, Move(0, (("s", 1), ("s", -1)), ()))
+    assert letters == []
+    apply_move(m3, letters, Move(0, (), (("t", -1), ("t", 1))))
+    assert letters == [("t", -1), ("t", 1)]
 
 
 def test_apply_move_rejects_mismatches(m3):
     with pytest.raises(ReplayError):
-        apply_move(m3, (("s", 1), ("t", 1)), Move("cancel", 0, ("s", 1)))
+        apply_move(m3, [("s", 1), ("t", 1)], Move(0, (("s", 1), ("s", -1)), ()))
     with pytest.raises(ReplayError):
-        apply_move(m3, (), Move("cancel", 0, ("s", 1)))
+        apply_move(m3, [], Move(0, (("s", 1), ("s", -1)), ()))
     with pytest.raises(ReplayError):
         # the window matches the word, but s s s -> t s t is not a rule
         sss, tst = (("s", 1),) * 3, (("t", 1), ("s", 1), ("t", 1))
-        apply_move(m3, sss, Move("relator", 0, rule=(sss, tst)))
+        apply_move(m3, list(sss), Move(0, sss, tst))
 
 
 def test_replay_rejects_tampering(m3):
@@ -98,11 +100,28 @@ def test_replay_rejects_tampering(m3):
     assert cert is not None and replay(cert)
     # shift one move
     bad_moves = list(cert.moves)
-    bad_moves[0] = Move(bad_moves[0].kind, bad_moves[0].pos + 1, bad_moves[0].letter,
-                        rule=bad_moves[0].rule)
+    bad_moves[0] = replace(bad_moves[0], pos=bad_moves[0].pos + 1)
     assert not replay(Certificate(m3, cert.start, cert.end, tuple(bad_moves)))
     # claim a different endpoint
     assert not replay(Certificate(m3, cert.start, Word.parse("s1"), cert.moves))
+
+
+def test_replay_refuses_malformed_moves(m3):
+    # shapes that a (pos, u, v) move can spell but no JSON move parses
+    # to; each end word is what the moves would leave if they applied
+    s, t, r = ("s", 1), ("t", 1), ("r", 1)
+    pair_r, pair_s2 = (r, ("r", -1)), (("s", 2), ("s", -2))
+    for start, moves, end in (
+        ("s1 t1", [Move(0, (), ())], "s1 t1"),
+        ("s1 t1", [Move(0, (s,), ())], "t1"),  # one-letter window
+        ("s1", [Move(0, (), (t,))], "t1 s1"),
+        ("s1 t-1 s1", [Move(0, (s, ("t", -1)), ())], "s1"),  # not an inverse pair
+        ("", [Move(0, (), (s, ("t", -1)))], "s1 t-1"),
+        ("s1", [Move(0, (), pair_r), Move(0, pair_r, ())], "s1"),  # r is no generator
+        ("s1", [Move(0, (), pair_s2), Move(0, pair_s2, ())], "s1"),  # exponent 2
+    ):
+        cert = Certificate(m3, Word.parse(start), Word.parse(end), tuple(moves))
+        assert not replay(cert), moves
 
 
 def test_certificate_json_roundtrip(m3):
@@ -422,6 +441,27 @@ def test_mirror_certificate(m3, m4):
             assert mirror_certificate(mir) == cert
 
 
+def test_mirror_certificate_replays_nothing(monkeypatch, m3, m4):
+    # each move changes the word's length by |v| - |u|, so mirroring
+    # reads the lengths off the moves and applies none of them
+    rng = random.Random(13)
+    certs = found_certs(m3, rng, 10) + found_certs(m4, rng, 10)
+    su = ArtinPresentation(("s", "u"), {("s", "u"): 2})
+    certs.append(verify_abelian("a", presentation=su, left="s30", right="u30"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mirroring applied a move")
+
+    for name in ("apply_move", "replay"):
+        monkeypatch.setattr(prover, name, refuse)
+    mirrors = [mirror_certificate(cert) for cert in certs]
+    for cert, mir in zip(certs, mirrors):
+        assert mir.start == cert.start.inverse() and mir.end == cert.end.inverse()
+        assert mirror_certificate(mir) == cert
+    monkeypatch.undo()
+    assert all(replay(mir) for mir in mirrors)
+
+
 def test_compose_certificates(m3):
     c1 = prove_equal(m3, Word.parse("s1 t1 s1"), Word.parse("t1 s1 t1"))
     c2 = prove_equal(m3, Word.parse("t1 s1 t1"), Word.parse("s1 t1 s1"))
@@ -549,7 +589,7 @@ def leftmost_pair_reduction(letters):
     while True:
         for i in range(len(cur) - 1):
             if cur[i][0] == cur[i + 1][0] and cur[i][1] == -cur[i + 1][1]:
-                moves.append(Move("cancel", i, letter=cur[i]))
+                moves.append(Move(i, (cur[i], cur[i + 1]), ()))
                 del cur[i : i + 2]
                 break
         else:
