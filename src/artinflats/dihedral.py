@@ -244,13 +244,12 @@ def balanced_rules(m: int) -> dict[str, tuple[str, ...]]:
 
 def word_to_string(pres: ArtinPresentation, word: Word) -> str:
     a, b, _ = _require_dihedral(pres)
-    lower = {a: "a", b: "b"}
+    lower, upper = {a: "a", b: "b"}, {a: "A", b: "B"}
     chars = []
-    for syl in word.syllables:
-        if syl.generator not in lower:
-            raise ValueError(f"letter {syl.generator!r} is not a generator")
-        c = lower[syl.generator]
-        chars.append(c * syl.exponent if syl.exponent > 0 else c.upper() * -syl.exponent)
+    for g, e in word.syllables:
+        if g not in lower:
+            raise ValueError(f"letter {g!r} is not a generator")
+        chars.append(lower[g] * e if e > 0 else upper[g] * -e)
     return "".join(chars)
 
 

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 INFINITY = None
 
@@ -155,14 +156,9 @@ class ArtinPresentation:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True, order=True)
-class Syllable:
+class Syllable(NamedTuple):
     generator: str
     exponent: int
-
-    def __post_init__(self):
-        if self.exponent == 0:
-            raise ValueError("syllable exponent must be nonzero")
 
     def inverse(self) -> "Syllable":
         return Syllable(self.generator, -self.exponent)
@@ -171,30 +167,34 @@ class Syllable:
         return f"{self.generator}{self.exponent}"
 
 
-def reduce(syllables: Iterable[tuple[str, int] | Syllable]) -> "Word":
-    """Merge adjacent syllables on the same generator, dropping zeros.
-
-    Idempotent: reducing a reduced word returns it unchanged.
-    """
+def reduce(syllables: Iterable[tuple[str, int]]) -> "Word":
+    """Merge adjacent (generator, exponent) pairs on one generator, dropping
+    zeros.  Idempotent: reducing a reduced word returns it unchanged."""
     # Stack invariant: adjacent entries always use distinct generators,
     # so a cancellation that empties the top re-exposes a valid top and
     # one pass suffices (e.g. s t t^-1 s collapses to s^2).
-    out: list[list] = []  # [generator, exponent] pairs under construction
-    for item in syllables:
-        g, e = (item.generator, item.exponent) if isinstance(item, Syllable) else item
-        if e == 0:
-            continue
+    out: list[Syllable] = []
+    for g, e in syllables:
         if out and out[-1][0] == g:
-            out[-1][1] += e
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([g, e])
-    return Word(tuple(Syllable(g, e) for g, e in out))
+            e += out.pop()[1]
+        if e:
+            out.append(Syllable(g, e))
+    return Word(out)
+
+
+def _pair(token: str) -> tuple[str, int]:
+    """The (generator, exponent) of a token such as "s2" or "t-1"."""
+    i = 0
+    while i < len(token) and not (token[i] == "-" or token[i].isdigit()):
+        i += 1
+    if i == 0 or i == len(token):
+        raise ValueError(f"bad syllable {token!r}")
+    return sys.intern(token[:i]), int(token[i:])
 
 
 class Word:
-    """A syllable-reduced word: adjacent syllables use distinct generators."""
+    """A syllable-reduced word: a tuple of (generator, exponent) Syllables,
+    exponents nonzero and adjacent ones on distinct generators."""
 
     __slots__ = ("syllables",)
 
@@ -203,23 +203,15 @@ class Word:
         for i, s in enumerate(syls):
             if not isinstance(s, Syllable):
                 raise TypeError(f"expected Syllable, got {s!r}")
-            if i and syls[i - 1].generator == s.generator:
+            if not s.exponent or i and syls[i - 1].generator == s.generator:
                 raise ValueError("word is not syllable-reduced; use reduce()")
         self.syllables = syls
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse the serialization format, e.g. "s2 t-1 r1" -> s^2 t^-1 r."""
-        parts = text.split()
-        syls = []
-        for p in parts:
-            i = 0
-            while i < len(p) and not (p[i] == "-" or p[i].isdigit()):
-                i += 1
-            if i == 0 or i == len(p):
-                raise ValueError(f"bad syllable {p!r}")
-            syls.append((p[:i], int(p[i:])))
-        return reduce(syls)
+        """Parse the serialization format, e.g. "s2 t-1 r1" -> s^2 t^-1 r,
+        one token at a time, holding each generator name once."""
+        return reduce(_pair(match.group()) for match in re.finditer(r"\S+", text))
 
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.syllables)
@@ -236,9 +228,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
     def __mul__(self, other: "Word") -> "Word":
         return reduce(self.syllables + other.syllables)
 
@@ -246,32 +235,31 @@ class Word:
         return Word(tuple(s.inverse() for s in reversed(self.syllables)))
 
     def letter_length(self) -> int:
-        return sum(abs(s.exponent) for s in self.syllables)
+        return sum(abs(e) for _, e in self.syllables)
 
     def letters(self) -> list[tuple[str, int]]:
         """Expand to single letters: (generator, +1 or -1) pairs."""
         out = []
-        for s in self.syllables:
-            sign = 1 if s.exponent > 0 else -1
-            out.extend([(s.generator, sign)] * abs(s.exponent))
+        for g, e in self.syllables:
+            if e == 1 or e == -1:
+                out.append((g, e))
+            else:
+                out.extend([(g, 1 if e > 0 else -1)] * abs(e))
         return out
 
     @classmethod
     def from_letters(cls, letters: Iterable[tuple[str, int]]) -> "Word":
-        return reduce((g, e) for g, e in letters)
+        return reduce(letters)
 
     def exponent_sum(self, generator: str) -> int:
-        return sum(s.exponent for s in self.syllables if s.generator == generator)
+        return sum(e for g, e in self.syllables if g == generator)
 
     def generators_used(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for s in self.syllables:
-            seen.setdefault(s.generator, None)
-        return tuple(sorted(seen))
+        return tuple(sorted({g for g, _ in self.syllables}))
 
     def substitute(self, mapping: dict[str, str]) -> "Word":
         """Rename generators; the result is re-reduced."""
-        return reduce((mapping.get(s.generator, s.generator), s.exponent) for s in self.syllables)
+        return reduce((mapping.get(g, g), e) for g, e in self.syllables)
 
 
 # ---------------------------------------------------------------------------

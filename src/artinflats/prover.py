@@ -99,13 +99,13 @@ def _parse_window(text) -> tuple[Letter, ...]:
     """Letters of a window string such as "s1 t-1 s1"."""
     try:
         syllables = Word.parse(text).syllables
-    except (AttributeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ReplayError(f"bad relator window {text!r}: {exc}") from None
     _strict(
-        len(syllables) == len(text.split()) and all(s.exponent in (1, -1) for s in syllables),
+        len(syllables) == len(text.split()) and all(e in (1, -1) for _, e in syllables),
         f"relator window {text!r} is not a string of letters g1 or g-1",
     )
-    return tuple((s.generator, s.exponent) for s in syllables)
+    return syllables
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,9 @@ def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[
 # which is built only up to this m when such a certificate is read.
 V1_MAX_M = 64
 
-# `from_json` refuses a start or end word longer than this many letters:
-# replay expands both letter by letter, so a few bytes such as
-# "s1000000000" would otherwise ask for gigabytes.
+# `from_json` refuses a start or end word longer than this, `replay` a
+# move that grows the word past it: replay expands words letter by
+# letter, so a few bytes such as "s1000000000" would ask for gigabytes.
 MAX_CERT_LETTERS = 10**6
 
 # A search spells each letter as one code point, so it takes a
@@ -233,14 +233,20 @@ def _undo(moves) -> tuple[Move, ...]:
     return tuple(Move(m.pos, m.v, m.u) for m in reversed(moves))
 
 
-def apply_move(pres: ArtinPresentation, letters: list[Letter], move: Move) -> None:
+def apply_move(pres: ArtinPresentation, letters: list[Letter], move: Move, checked: set | None = None) -> None:
     """Strictly validated single-move application, in place (used by
     replay): a relator window must be a rule of `pres`, a cancel or
     insert side exactly one pair g^e g^-e with e = +-1 (an insert's g a
-    generator of `pres`), and u must read at pos."""
+    generator of `pres`), and u must read at pos.  Windows in `checked`
+    pass as rules; each newly checked one is added to it.  A valid move
+    that would take the word past MAX_CERT_LETTERS letters raises
+    WordTooLongError."""
     p, u, v = move.pos, move.u, move.v
+    checked = set() if checked is None else checked
     if u and v:
-        _check_window(pres, u, v)
+        if (u, v) not in checked:
+            _check_window(pres, u, v)
+            checked.add((u, v))
     elif not (
         len(pair := u or v) == 2 and pair[0][1] in (1, -1) and pair[1] == _inv(pair[0])
         and (u or pair[0][0] in pres.generators)
@@ -248,6 +254,8 @@ def apply_move(pres: ArtinPresentation, letters: list[Letter], move: Move) -> No
         raise ReplayError(f"{move.kind} at {p} is not one pair g^e g^-e of the presentation: {pair}")
     if not (0 <= p <= len(letters) - len(u) and letters[p : p + len(u)] == list(u)):
         raise ReplayError(f"window at {p} does not read {Word.from_letters(u)}")
+    if len(letters) + len(v) - len(u) > MAX_CERT_LETTERS:
+        raise WordTooLongError(f"the {move.kind} at {p} takes the word past {MAX_CERT_LETTERS} letters")
     letters[p : p + len(u)] = v
 
 
@@ -304,12 +312,16 @@ class Certificate:
 def replay(cert: Certificate) -> bool:
     """Validate a certificate by running every move, in place, on one
     letter list from the start word and comparing it with the end word.
-    No search code.  A relator move rewrites its window, but a cancel or
-    insert shifts the list's tail: O(moves x length) in the worst case."""
+    No search code; each distinct relator window is checked once.  A
+    cancel or insert shifts the list's tail: O(moves x length) in the
+    worst case.  A move that would grow the word past MAX_CERT_LETTERS
+    letters raises WordTooLongError (the CLI's exit 1): replay holds no
+    longer word, so it cannot tell whether such a certificate holds."""
+    checked: set = set()
     try:
         letters = cert.start.letters()
         for move in cert.moves:
-            apply_move(cert.presentation, letters, move)
+            apply_move(cert.presentation, letters, move, checked)
         return letters == cert.end.letters()
     except ReplayError:
         return False

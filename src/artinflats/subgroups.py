@@ -339,9 +339,9 @@ def _walk_word(patch: Patch, d: DirectionAssignment, start: int, word: Word) -> 
     `patch.translate_vertex(start, displacement)`."""
     v = start
     x = y = 0
-    for syl in word.syllables:
-        edge = patch._edge_at(v, syl.generator)
-        if d[edge.index].signed(v) != syl.exponent:
+    for g, e in word.syllables:
+        edge = patch._edge_at(v, g)
+        if d[edge.index].signed(v) != e:
             return None
         dx, dy = edge.delta_from(v)
         x += dx

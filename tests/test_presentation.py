@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from artinflats.presentation import (
     INFINITY,
     ArtinPresentation,
     LanguageTemplate,
+    Syllable,
     Word,
     balanced_rewrites,
     reduce,
@@ -30,6 +32,35 @@ def test_parse_rejects_garbage():
             Word.parse(bad)
     # a zero exponent is legal input and reduces away
     assert str(Word.parse("s0")) == ""
+
+
+def test_a_syllable_is_a_named_pair():
+    # it hashes and compares as its plain pair, so Word hashes as before
+    assert hash(Syllable("s", 2)) == hash(("s", 2)) and Syllable("s", 2) == ("s", 2)
+    assert Syllable("s", 2).inverse() == ("s", -2) and str(Syllable("s", -2)) == "s-2"
+    # a zero exponent constructs as a pair, but no Word holds it
+    with pytest.raises(ValueError):
+        Word((Syllable("s", 0),))
+    with pytest.raises(TypeError):
+        Word((("s", 1),))
+    assert not Word.parse("s1 s-1 t0")
+    # one string per generator name, however many tokens spell it
+    w = Word.parse("ab1 cd1 " * 3)
+    assert len({id(g) for g, _ in w.syllables}) == 2
+
+
+def test_parse_holds_one_pair_per_syllable():
+    # 2 x 10^5 letters: tracing the parse peaks at about 15 MiB, where
+    # keeping every token and a dataclass per syllable took 57 MiB
+    text = "s1 t1 " * 100_000
+    tracemalloc.start()
+    try:
+        word = Word.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == word.letter_length() == 200_000
+    assert peak < 25 * 2**20, peak
 
 
 def test_reduce_merges_and_drops():

@@ -106,6 +106,46 @@ def test_replay_rejects_tampering(m3):
     assert not replay(Certificate(m3, cert.start, Word.parse("s1"), cert.moves))
 
 
+def test_replay_checks_each_window_once(monkeypatch, m3):
+    su = ArtinPresentation(("s", "u"), {("s", "u"): 2})
+    certs = [verify_abelian("a", presentation=su, left="s30", right="u-30")]
+    certs.append(prove_trivial(m3, Word.parse("s1 t1 s1 t-1 s-1 t-1")))
+    check, calls = prover._check_window, []
+
+    def counted(pres, u, v):
+        calls.append((u, v))
+        check(pres, u, v)
+
+    monkeypatch.setattr(prover, "_check_window", counted)
+    for cert in certs:
+        calls.clear()
+        assert replay(cert)
+        windows = [(m.u, m.v) for m in cert.moves if m.u and m.v]
+        assert sorted(calls) == sorted(set(windows)), len(windows)
+    # on its own, apply_move checks its window every time
+    calls.clear()
+    sts, tst = (("s", 1), ("t", 1), ("s", 1)), (("t", 1), ("s", 1), ("t", 1))
+    letters = list(sts)
+    for move in (Move(0, sts, tst), Move(0, tst, sts), Move(0, sts, tst)):
+        apply_move(m3, letters, move)
+    assert len(calls) == 3
+
+
+def test_replay_refuses_to_grow_the_word_past_the_cap(monkeypatch, run_cli, tmp_path, m3):
+    monkeypatch.setattr(prover, "MAX_CERT_LETTERS", 4)
+    pair = (("t", 1), ("t", -1))
+    ins, cancel = Move(1, (), pair), Move(1, pair, ())
+    s2 = Word.parse("s2")
+    assert replay(Certificate(m3, s2, s2, (ins, cancel)))  # 4 letters at most
+    cert = Certificate(m3, s2, s2, (ins, ins, cancel, cancel))  # 6 letters
+    with pytest.raises(WordTooLongError):
+        replay(cert)
+    path = tmp_path / "long.json"
+    path.write_text(cert.to_json())
+    code, out, err = run_cli("replay", str(path))
+    assert code == 1 and not out and "past 4 letters" in err and "Traceback" not in err
+
+
 def test_replay_refuses_malformed_moves(m3):
     # shapes that a (pos, u, v) move can spell but no JSON move parses
     # to; each end word is what the moves would leave if they applied
