@@ -474,13 +474,13 @@ def cmd_klein(args) -> int:
             if not replay(cert):
                 print(f"{name} certificate FAILED to replay", file=sys.stderr)
                 return EXIT_VERIFY
-    payload = {
-        "k": args.k,
-        "a": str(pair.a),
-        "gprime": str(pair.gprime),
-        **{name: cert.to_dict() for name, cert in certs.items()},
-    }
     if args.output:
+        payload = {
+            "k": args.k,
+            "a": str(pair.a),
+            "gprime": str(pair.gprime),
+            **{name: cert.to_dict() for name, cert in certs.items()},
+        }
         _emit(args, json.dumps(payload, indent=2))
     summary = ", ".join(f"{name} {len(cert.moves)} moves" for name, cert in certs.items())
     print(f"k={args.k}: a = {pair.a}, g' = {pair.gprime}; {summary}")

@@ -140,14 +140,6 @@ class NormalForm:
         parts.extend(self.factor_word(f) for f in self.factors)
         return " * ".join(parts)
 
-    def to_word(self) -> Word:
-        """A word spelling this element: Delta^power then the factors."""
-        delta = alternating(self.generators, (1,) * self.m)
-        parts = [delta if self.power >= 0 else delta.inverse()] * abs(self.power)
-        gens = self.generators
-        parts += [alternating(gens[start:] + gens[:start], (1,) * ln) for start, ln in self.factors]
-        return Word.from_letters(l for w in parts for l in w.letters())
-
 
 def _require_dihedral(pres: ArtinPresentation) -> tuple[str, str, int]:
     if len(pres.generators) != 2:
@@ -157,14 +149,6 @@ def _require_dihedral(pres: ArtinPresentation) -> tuple[str, str, int]:
     if m is None:
         raise ValueError("dihedral operations need a finite exponent")
     return a, b, m
-
-
-def subpresentation(pres: ArtinPresentation, a: str, b: str) -> ArtinPresentation:
-    """The two-generator presentation spanned by a and b (finite m required)."""
-    m = pres.m(a, b)
-    if m is None:
-        raise ValueError(f"pair ({a}, {b}) has no relation")
-    return ArtinPresentation((a, b), {(a, b): m})
 
 
 def normal_form(pres: ArtinPresentation, word: Word) -> NormalForm:

@@ -152,11 +152,6 @@ def _is_commutator(exps: tuple[int, ...]) -> bool:
     return c == -a and d == -b
 
 
-def minimum_boundary_syllables(m: int) -> int:
-    """Syllable count below which only the empty word is trivial."""
-    return 2 * m
-
-
 class SweepResult(NamedTuple):
     total: int
     trivial: int

@@ -18,9 +18,7 @@ the options it removes to one trail; an explicit stack of branching
 frames (options, next index, trail mark, length of the choice list, a
 copy of the levels) undoes back to a mark, so the search depth is not
 bounded by the interpreter's stack.  It yields each polarisation as its
-cover completes, so a caller that counts them holds none.  Completing a
-polarisation from its values on the maximal cells is the same exact
-cover, with those cells' options fixed, read to a second completion.
+cover completes, so a caller that counts them holds none.
 
 Direction data induces a polarisation: a consistently directed cell
 boundary decomposes into two directed paths between a unique source
@@ -47,7 +45,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, product
+from itertools import product
 from math import gcd
 from operator import or_
 
@@ -139,13 +137,11 @@ def enumerate_admissible(patch: Patch) -> list[Polarisation]:
     return list(iter_admissible(patch))
 
 
-def iter_admissible(patch: Patch, fixed: Polarisation | None = None) -> Iterator[Polarisation]:
+def iter_admissible(patch: Patch) -> Iterator[Polarisation]:
     """Yield each admissible polarisation as its exact cover completes:
     items are the vertices (each covered once) and the cells (each
     choosing one diagonal); deterministic branching on the most
-    constrained item.  Each cell of `fixed` is held to its given
-    diagonal (its option chosen before the search); a fixed diagonal
-    that is no option has no completion."""
+    constrained item."""
     n_v = patch.vertex_count()
     n_items = n_v + len(patch.cells)
     opt_cell: list[int] = []
@@ -189,13 +185,6 @@ def iter_admissible(patch: Patch, fixed: Polarisation | None = None) -> Iterator
                         if it2 not in items:
                             level[c] ^= bit[it2]
                             level[c - 1] ^= bit[it2]
-
-    for ci, d in (fixed or {}).items():
-        oi = next((oi for oi in item_options[n_v + ci] if opt_diag[oi] == d), None)
-        if oi is None or not alive[oi]:
-            return  # no option, or an end taken by an earlier fixed cell
-        chosen.append(oi)
-        cover(oi)
 
     # branching frames: [options, next index, trail mark, len(chosen), level]
     stack: list[list] = []
@@ -405,28 +394,6 @@ def rigidity_witnesses(patch: Patch, l: Polarisation) -> list[RigidityWitness]:
 
 
 # ---------------------------------------------------------------------------
-# Determination of small cells by maximal cells
-# ---------------------------------------------------------------------------
-
-
-def determined_values(patch: Patch, partial: Polarisation) -> Polarisation | None:
-    """Complete a polarisation given only its values on maximal cells,
-    by the exact cover with those cells' options fixed.  Returns the
-    unique admissible completion, None if there is none, and raises if
-    the completion is ambiguous (the maximal cells are expected to
-    determine the rest)."""
-    maximal = {c.index for c in patch.maximal_cells()}
-    if set(partial) != maximal:
-        raise ValueError("partial polarisation must cover exactly the maximal cells")
-    for ci, d in partial.items():
-        diagonal_vertices(patch.cells[ci], d)  # raises on an index out of range
-    completions = list(islice(iter_admissible(patch, partial), 2))
-    if len(completions) > 1:
-        raise ValueError("maximal-cell values do not determine the completion")
-    return completions[0] if completions else None
-
-
-# ---------------------------------------------------------------------------
 # The excluded local configuration on 12-gon patches
 # ---------------------------------------------------------------------------
 
@@ -436,7 +403,10 @@ def case0_instances(patch: Patch, l: Polarisation) -> list[tuple[int, int, int]]
     whose edge v0v1 lies on a 12-gon tau with l(tau) ending at v1,
     whose opposite edge u0u1 lies on a 12-gon sigma with
     l(sigma) = u4u10 in the labelling continuing past u1.
-    Admissible polarisations never contain one."""
+
+    This is the configuration the paper excludes on the 2-3-6 tiling,
+    whose maximal cells are 12-gons: no admissible polarisation contains
+    one.  Raises ValueError on any other tiling type."""
     if patch.triangle_type != TriangleType.E236:
         raise ValueError("configuration is specific to 12-gon patches")
     out = []

@@ -111,6 +111,12 @@ class ArtinPresentation:
     def two_dimensional(self) -> bool:
         """True iff 1/m(a,b) + 1/m(b,c) + 1/m(a,c) <= 1 for all triples.
 
+        This is the paper's standing hypothesis that the Artin group is
+        two-dimensional.  By Charney and Davis such a group satisfies
+        the K(pi, 1) conjecture, so it is torsion-free of cohomological
+        dimension 2 and its noncyclic virtually abelian subgroups are
+        virtually Z^2: the commuting pairs the paper classifies.
+
         Infinite exponents contribute 0 and each finite 1/m is at most
         1/2, so only a triangle of three finite pairs can sum above 1:
         each finite pair is tried with the common finite neighbours of

@@ -327,10 +327,6 @@ def replay(cert: Certificate) -> bool:
         return False
 
 
-def invert_certificate(cert: Certificate) -> Certificate:
-    return Certificate(cert.presentation, cert.end, cert.start, _undo(cert.moves))
-
-
 def mirror_certificate(cert: Certificate) -> Certificate:
     """Certificate from start^-1 to end^-1, mirroring each move in order.
 

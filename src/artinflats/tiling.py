@@ -502,80 +502,6 @@ def scaled_patch(tt: TriangleType, factor: int) -> Patch:
 
 
 # ---------------------------------------------------------------------------
-# Edge types from local data
-# ---------------------------------------------------------------------------
-
-
-def assign_edge_types(patch: Patch, seed: dict[int, str], shuffle=None) -> dict[int, str]:
-    """Propagate generator types to every edge from a seed assignment.
-
-    Within each cell the boundary alternates between two types, so the
-    even and odd boundary positions form two 'same-type' classes; the
-    classes meeting at a cell corner must differ.  The result does not
-    depend on the worklist order (pass `shuffle` to randomise it in
-    tests).  Raises ValueError on contradiction or incomplete coverage.
-    """
-    # union-find over edges
-    parent = list(range(len(patch.edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    adjacent: set[tuple[int, int]] = set()
-    for cell in patch.cells:
-        n = len(cell.edges)
-        for k in range(n):
-            union(cell.edges[k], cell.edges[(k + 2) % n])
-        for k in range(n):
-            adjacent.add((cell.edges[k], cell.edges[(k + 1) % n]))
-    colors: dict[int, str] = {}
-    for ei, gen in seed.items():
-        root = find(ei)
-        if colors.setdefault(root, gen) != gen:
-            raise ValueError("seed is inconsistent with the cell structure")
-    neighbours: dict[int, set[int]] = {}
-    for a, b in adjacent:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("adjacent boundary edges forced to equal type")
-        neighbours.setdefault(ra, set()).add(rb)
-        neighbours.setdefault(rb, set()).add(ra)
-    gens = list(patch.generators)
-    work = sorted(neighbours)
-    if shuffle is not None:
-        shuffle(work)
-    changed = True
-    while changed:
-        changed = False
-        for node in work:
-            if node in colors:
-                continue
-            seen = {colors[nb] for nb in neighbours[node] if nb in colors}
-            if len(seen) == len(gens) - 1:
-                colors[node] = next(g for g in gens if g not in seen)
-                changed = True
-    for node in neighbours:
-        for nb in neighbours[node]:
-            if node in colors and nb in colors and colors[node] == colors[nb]:
-                raise ValueError("propagation reached a contradiction")
-    out = {}
-    for e in patch.edges:
-        root = find(e.index)
-        if root not in colors:
-            raise ValueError("seed does not determine every edge type")
-        out[e.index] = colors[root]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Direction assignments
 # ---------------------------------------------------------------------------
 
@@ -762,25 +688,3 @@ def enumerate_consistent_directions(patch: Patch) -> list[DirectionAssignment]:
         {ei: values[ei][v] for ei, v in zip(edge_order, key)}
         for key in sorted(tuple(t >> s & low for s in shifts) for t in partials)
     ]
-
-
-def lift_directions(
-    fine: Patch, coarse: Patch, d_coarse: DirectionAssignment
-) -> DirectionAssignment:
-    """Pull back an assignment along the covering fine -> coarse
-    (the fine lattice must be a sublattice of the coarse one)."""
-    if fine.triangle_type != coarse.triangle_type:
-        raise ValueError("patches have different tiling types")
-    for vec in fine.lattice:
-        if _reduce_mod(coarse.lattice, vec) != (0, 0):
-            raise ValueError("fine lattice is not a sublattice of the coarse one")
-    out: DirectionAssignment = {}
-    for e in fine.edges:
-        cu = coarse.vertex_at[_reduce_mod(coarse.lattice, fine.positions[e.u])]
-        ce = coarse.edges[coarse.edge_by_step[cu, e.delta]]
-        de = d_coarse[ce.index]
-        source = e.u if de.source == cu else e.v
-        if de.source not in (ce.u, ce.v):
-            raise ValueError("coarse assignment references a foreign vertex")
-        out[e.index] = DirectedEdge(source, de.label)
-    return out

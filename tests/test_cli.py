@@ -444,6 +444,18 @@ def test_klein(run_cli, tmp_path):
     assert run_cli("klein", "--k", "0")[0] == 1
 
 
+def test_klein_without_output_serialises_nothing(run_cli, monkeypatch):
+    expected = run_cli("klein", "--k", "2")
+
+    def refuse(self):
+        raise AssertionError("klein without -o serialised a certificate")
+
+    monkeypatch.setattr(Certificate, "to_dict", refuse)
+    code, out, err = run_cli("klein", "--k", "2")
+    assert (code, out, err) == expected
+    assert code == 0 and out.startswith("k=2: ") and "composite 61 moves" in out
+
+
 def _assert_usage_error(result):
     code, _, err = result
     assert code == 1 and err.startswith("error:") and "Traceback" not in err, err

@@ -22,7 +22,6 @@ from artinflats.girth import (
     GirthPreconditionError,
     classify,
     classify_commutator,
-    minimum_boundary_syllables,
     template_word,
 )
 from artinflats.presentation import ArtinPresentation, Word
@@ -114,10 +113,6 @@ def test_full_sweep_m3():
         assert matched == oracle, word
         trivial += oracle
     assert trivial == 18
-
-
-def test_minimum_boundary_syllables():
-    assert [minimum_boundary_syllables(m) for m in (2, 3, 4, 5)] == [4, 6, 8, 10]
 
 
 def _word_by_word_sweep(m, bound):

@@ -40,7 +40,6 @@ from artinflats.prover import (
     compose_certificates,
     conjugated_certificate,
     conjugation_product,
-    invert_certificate,
     mirror_certificate,
     prove_commutator,
     prove_conjugation,
@@ -51,6 +50,7 @@ from artinflats.prover import (
     replay,
 )
 from artinflats.subgroups import family, flat_family, verify_abelian
+from helpers import invert_certificate
 
 
 def random_trivial_word(pres, rng, max_pairs=3):

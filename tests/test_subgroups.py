@@ -22,7 +22,6 @@ from artinflats.prover import (
     Certificate,
     SearchBudgetError,
     WordTooLongError,
-    invert_certificate,
     mirror_certificate,
     prove_commutator,
     replay,
@@ -46,6 +45,7 @@ from artinflats.tiling import (
     standard_directions,
     validate_directions,
 )
+from helpers import invert_certificate
 
 
 def test_family_words_fixed_instances():

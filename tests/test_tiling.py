@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from artinflats.dihedral import is_trivial, subpresentation
+from artinflats.dihedral import is_trivial
 from artinflats.girth import template_exponents
 from artinflats.presentation import ArtinPresentation, Word
 from artinflats import tiling
@@ -33,10 +33,8 @@ from artinflats.tiling import (
     Patch,
     TooManyAssignmentsError,
     TriangleType,
-    assign_edge_types,
     boundary_word,
     enumerate_consistent_directions,
-    lift_directions,
     minimal_patch,
     presentation_for,
     scaled_patch,
@@ -44,6 +42,7 @@ from artinflats.tiling import (
     translation_lattice,
     validate_directions,
 )
+from helpers import lift_directions, subpresentation
 
 # vertices / edges / cells of the smallest buildable patch per type
 PATCH_SHAPE = {
@@ -279,25 +278,6 @@ def test_validate_flags_bad_cell_word(patch333):
     report = validate_directions(patch333, d)
     assert not report.ok
     assert any(v.check == "cell-word" for v in report.violations)
-
-
-def test_assign_edge_types_recovers_construction(patch333):
-    # two adjacent boundary edges pin their classes; the third class
-    # follows by elimination at the cell corners
-    rng = random.Random(3)
-    cell = patch333.cells[0]
-    e0, e1 = (patch333.edges[cell.edges[i]] for i in (0, 1))
-    seed = {e0.index: e0.gen, e1.index: e1.gen}
-    got = assign_edge_types(patch333, seed, shuffle=rng.shuffle)
-    assert got == {e.index: e.gen for e in patch333.edges}
-
-
-def test_assign_edge_types_detects_conflict(patch333):
-    # seeding two edges of one cell with the same generator is inconsistent
-    cell = patch333.cells[0]
-    seed = {cell.edges[0]: "s", cell.edges[1]: "s"}
-    with pytest.raises(ValueError):
-        assign_edge_types(patch333, seed)
 
 
 def test_lift_directions_is_periodic(patch333):
