@@ -29,7 +29,7 @@ from artinflats.polarisation import (
     induced,
     iter_admissible,
     polarisation_from_json,
-    polarisation_to_json,
+    polarisation_to_dict,
     rigidity_witnesses,
 )
 from artinflats.presentation import ArtinPresentation, Word
@@ -172,32 +172,34 @@ def cmd_girth_sweep(args) -> int:
 def cmd_polarisations(args) -> int:
     patch = _build_patch(args)
     count = failed = 0
+    first_failed = None  # enumeration index of the first non-rigid polarisation
     listed = []  # only --json prints the polarisations themselves
     for l in iter_admissible(patch):
-        count += 1
         if args.check_rigidity and not rigidity_witnesses(patch, l):
             failed += 1
+            if first_failed is None:
+                first_failed = count
+        count += 1
         if args.json:
-            listed.append(json.loads(polarisation_to_json(patch, l)))
+            listed.append(polarisation_to_dict(patch, l))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "type": patch.triangle_type.name,
-                    "lattice": [list(v) for v in patch.lattice],
-                    "count": count,
-                    "rigid": (not failed) if args.check_rigidity else None,
-                    "polarisations": listed,
-                },
-                indent=2,
-            )
-        )
+        report = {
+            "type": patch.triangle_type.name,
+            "lattice": [list(v) for v in patch.lattice],
+            "count": count,
+            "rigid": (not failed) if args.check_rigidity else None,
+        }
+        if failed:
+            report["first_non_rigid"] = first_failed
+        report["polarisations"] = listed
+        print(json.dumps(report, indent=2))
     else:
         lat = ";".join(",".join(str(c) for c in v) for v in patch.lattice)
         print(f"{patch.triangle_type.name} lattice {lat}: {count} admissible polarisations")
         if args.check_rigidity:
             if failed:
                 print(f"rigidity FAILED for {failed} polarisation(s)")
+                print(f"first non-rigid polarisation: index {first_failed}")
             else:
                 print(f"all rigid ({count} witnesses)")
     return EXIT_VERIFY if failed else EXIT_OK

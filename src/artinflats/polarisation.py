@@ -34,9 +34,17 @@ cell on an `e`-edge, cross that edge, and leave each smaller cell by
 its edge parallel to the one just crossed (a square's opposite edge, a
 hexagon's parallel edge) until a maximal cell is reached; `rho` joins
 the centres of the two maximal cells, their lifts glued edge to edge.
-It is then verified exactly on the patch, through the translation's
-vertex and cell maps, which the patch computes once per vector
-(`Patch.translation`) and every polarisation of the patch reuses.
+It is then verified exactly on the patch.  None of this depends on the
+polarisation, so one table per patch, built on first use and kept in
+`Patch.rigidity_table`, holds it all: each diagonal's endpoint
+bitmask, which admissibility ORs; for each maximal cell and diagonal,
+the classes its endpoints allow, as bits; and for each class whose
+`rho` is transverse and acts on the patch, `rho`'s cell map and the
+image of every diagonal of every cell, read through the translation's
+vertex map (`Patch.translation`).  A polarisation then costs a few
+passes of list lookups: the allowed bits ANDed over the maximal cells,
+and per remaining class one comparison of the image diagonals its
+choices pick with its choices read through the cell map.
 """
 
 from __future__ import annotations
@@ -45,9 +53,10 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 from math import gcd
-from operator import or_
+from operator import and_, getitem, itemgetter, or_
+from typing import NamedTuple
 
 from artinflats.tiling import (
     Cell,
@@ -78,20 +87,25 @@ def diagonal_vertices(cell: Cell, d: int) -> tuple[int, int]:
     return cell.vertices[d], cell.vertices[d + cell.m]
 
 
-def coverage(patch: Patch, l: Polarisation) -> dict[int, int]:
-    """How many chosen diagonals end at each vertex."""
-    counts = {v: 0 for v in range(patch.vertex_count())}
-    for cell in patch.cells:
-        a, b = diagonal_vertices(cell, l[cell.index])
-        counts[a] += 1
-        counts[b] += 1
-    return counts
-
-
 def is_admissible(patch: Patch, l: Polarisation) -> bool:
-    if sorted(l) != list(range(len(patch.cells))):
+    """Whether every vertex lies on exactly one chosen diagonal.  Raises
+    ValueError unless `l` names exactly the patch's cells, each with a
+    diagonal index in range."""
+    table = _rigidity_table(patch)
+    try:
+        ds = table.read(l)
+    except KeyError:  # a cell with no diagonal
+        ds = None
+    if ds is None or len(l) != len(ds):
         raise ValueError("polarisation must cover exactly the patch cells")
-    return all(c == 1 for c in coverage(patch, l).values())
+    if min(ds) >= 0:
+        try:
+            return reduce(or_, map(getitem, table.masks, ds)) == table.full
+        except IndexError:  # an index of m or more
+            pass
+    for cell, d in zip(patch.cells, ds):
+        diagonal_vertices(cell, d)  # raises on the first index out of range
+    raise AssertionError("no diagonal index is out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +320,10 @@ def _parallel_edge_position(patch: Patch, cell: Cell, k: int) -> int:
 
 def e_translation(patch: Patch, e_class: Vec) -> Vec:
     """The translation mapping a maximal cell containing an e-edge to
-    its partner in the type's defining configuration.  Computed once per
-    class and kept on the patch; raises RigidityError for a class with no
+    its partner in the type's defining configuration, read from the
+    patch's rigidity table; raises RigidityError for a class with no
     edge on a maximal cell."""
-    if e_class not in patch.e_translations:
-        patch.e_translations[e_class] = _e_translation(patch, e_class)
-    rho = patch.e_translations[e_class]
+    rho = _rigidity_table(patch).e_rho.get(e_class)
     if rho is None:
         raise RigidityError(f"class {e_class} has no edge on a maximal cell")
     return rho
@@ -349,48 +361,95 @@ def _e_translation(patch: Patch, e_class: Vec) -> Vec | None:
     return (dx // (2 * mm), dy // (2 * mm))
 
 
-def preserves(patch: Patch, l: Polarisation, rho: Vec) -> bool:
-    if rho == (0, 0):
-        return False
-    action = patch.translation(rho)
-    if action is None:
-        return False
-    vmap, cmap = action
-    try:
-        for cell in patch.cells:
-            image = patch.cells[cmap[cell.index]]
-            a, b = diagonal_vertices(cell, l[cell.index])
-            ia, ib = diagonal_vertices(image, l[image.index])
-            if {vmap[a], vmap[b]} != {ia, ib}:
-                return False
-    except KeyError:
-        return False
-    return True
+class _RigidityTable(NamedTuple):
+    """What admissibility and rigidity need from a patch, built once per
+    patch (kept in `Patch.rigidity_table`), so that each polarisation
+    costs a few passes of list lookups.  Cells are read in index order."""
+
+    read: itemgetter  # a polarisation's diagonals as a tuple in cell order
+    masks: list[list[int]]  # endpoint bitmask of each diagonal of each cell
+    full: int  # every vertex's bit; -1, which no OR of masks is, unless 2 vertices per cell
+    maximal: list[bool]  # which cells are maximal
+    # per maximal cell and diagonal: the classes of `witnesses` its
+    # diagonal admits, as bits
+    classes: list[list[int]]
+    # (bit, edge class, rho, reader of the diagonals through rho's cell
+    # map, index of the image diagonal of each diagonal of each cell or
+    # -1 where the image is no diagonal), in sorted class order, for
+    # each class whose rho is transverse and acts on the patch
+    witnesses: list[tuple[int, Vec, Vec, itemgetter, list[list[int]]]]
+    e_rho: dict[Vec, Vec | None]  # e_translation per edge class, None for none
+
+
+def _rigidity_table(patch: Patch) -> _RigidityTable:
+    if patch.rigidity_table is None:
+        patch.rigidity_table = _build_rigidity_table(patch)
+    return patch.rigidity_table
+
+
+def _build_rigidity_table(patch: Patch) -> _RigidityTable:
+    """Every patch has at least two cells, so each itemgetter here
+    returns a tuple."""
+    ends = [[diagonal_vertices(cell, d) for d in range(cell.m)] for cell in patch.cells]
+    by_ends = [{frozenset(ab): d for d, ab in enumerate(row)} for row in ends]
+    if any(len(where) != len(row) for where, row in zip(by_ends, ends)):
+        # no patch builds one: a square's would need a self-loop, and the
+        # E-type minimal patches' cells have distinct corners
+        raise AssertionError("two diagonals of a cell join the same vertices")
+    e_rho: dict[Vec, Vec | None] = {}
+    for edge in patch.edges:
+        if edge.direction_class not in e_rho:
+            e_rho[edge.direction_class] = _e_translation(patch, edge.direction_class)
+    witnesses = []
+    for cls, rho in sorted(e_rho.items()):
+        if rho is None or cls[0] * rho[1] == cls[1] * rho[0]:
+            continue  # no rho, or rho not transverse to e
+        action = patch.translation(rho)
+        if action is None:
+            continue
+        vmap, cmap = action
+        image = [
+            [by_ends[cmap[ci]].get(frozenset((vmap[a], vmap[b])), -1) for a, b in row]
+            for ci, row in enumerate(ends)
+        ]
+        witnesses.append((1 << len(witnesses), cls, rho, itemgetter(*cmap), image))
+    bit = {cls: b for b, cls, *_ in witnesses}
+    maximal = patch.maximal_cells()
+    maximal_index = {cell.index for cell in maximal}
+    # with twice as many vertices as cells, the diagonals cover each
+    # vertex once exactly when their masks OR to every vertex (see
+    # naive_enumerate_admissible); otherwise no choice does
+    n_v = patch.vertex_count()
+    return _RigidityTable(
+        read=itemgetter(*range(len(ends))),
+        masks=[[(1 << a) | (1 << b) for a, b in row] for row in ends],
+        full=(1 << n_v) - 1 if n_v == 2 * len(ends) else -1,
+        maximal=[ci in maximal_index for ci in range(len(ends))],
+        classes=[
+            [sum(bit.get(cls, 0) for cls in allowed_classes(patch, cell, d)) for d in range(cell.m)]
+            for cell in maximal
+        ],
+        witnesses=witnesses,
+        e_rho=e_rho,
+    )
 
 
 def rigidity_witnesses(patch: Patch, l: Polarisation) -> list[RigidityWitness]:
     """All rigidity witnesses, in sorted edge-class order: edge classes
     shared by every maximal cell's diagonal endpoints whose associated
-    translation is transverse and preserves the polarisation."""
+    translation is transverse and preserves the polarisation, that is,
+    maps each cell's chosen diagonal to the chosen diagonal of its image
+    cell."""
     if not is_admissible(patch, l):
         raise ValueError("polarisation is not admissible")
-    candidates: set[Vec] | None = None
-    for cell in patch.maximal_cells():
-        classes = allowed_classes(patch, cell, l[cell.index])
-        candidates = classes if candidates is None else candidates & classes
-        if not candidates:
-            break
-    out = []
-    for cls in sorted(candidates or ()):
-        try:
-            rho = e_translation(patch, cls)
-        except RigidityError:
-            continue
-        if _primitive(rho) == _primitive(cls):
-            continue  # rho must be transverse to e
-        if preserves(patch, l, rho):
-            out.append(RigidityWitness(cls, rho))
-    return out
+    table = patch.rigidity_table
+    ds = table.read(l)
+    shared = reduce(and_, map(getitem, table.classes, compress(ds, table.maximal)))
+    return [
+        RigidityWitness(cls, rho)
+        for b, cls, rho, through, image in table.witnesses
+        if shared & b and tuple(map(getitem, image, ds)) == through(ds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +503,15 @@ def case0_instances(patch: Patch, l: Polarisation) -> list[tuple[int, int, int]]
 # ---------------------------------------------------------------------------
 
 
+def polarisation_to_dict(patch: Patch, l: Polarisation) -> dict[str, list[int]]:
+    """Each cell index, as a string, to its chosen diagonal's two
+    vertices, in cell order: the JSON object `polarisation_to_json`
+    writes."""
+    return {str(ci): list(diagonal_vertices(patch.cells[ci], d)) for ci, d in sorted(l.items())}
+
+
 def polarisation_to_json(patch: Patch, l: Polarisation) -> str:
-    return json.dumps(
-        {
-            str(ci): list(diagonal_vertices(patch.cells[ci], d))
-            for ci, d in sorted(l.items())
-        },
-        indent=2,
-    )
+    return json.dumps(polarisation_to_dict(patch, l), indent=2)
 
 
 def polarisation_from_json(patch: Patch, text: str) -> Polarisation:

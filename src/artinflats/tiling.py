@@ -311,9 +311,10 @@ class Patch:
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
         self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
-        # polarisation.e_translation's translation per edge class, None for
-        # a class with no edge on a maximal cell; it depends only on the patch
-        self.e_translations: dict[Vec, Vec | None] = {}
+        # polarisation's rigidity table (e-translations, allowed classes,
+        # diagonal masks and images), built on first use; it depends only
+        # on the patch
+        self.rigidity_table = None
         self._build_orbit()
         self._build_cells()
         for ei, cells in enumerate(self.edge_cells):

@@ -105,6 +105,51 @@ def test_polarisations(run_cli):
     assert code == 1
 
 
+def test_polarisations_report_the_first_non_rigid_index(run_cli, monkeypatch):
+    from artinflats import cli
+
+    calls = []
+
+    def third_fails(patch, l):
+        calls.append(l)
+        return [] if len(calls) == 3 else ["witness"]
+
+    monkeypatch.setattr(cli, "rigidity_witnesses", third_fails)
+    args = ("polarisations", "--type", "E333", "--scale", "2", "--check-rigidity")
+    code, out, _ = run_cli(*args)
+    assert code == 2 and len(calls) == 9
+    assert out.splitlines()[1:] == [
+        "rigidity FAILED for 1 polarisation(s)",
+        "first non-rigid polarisation: index 2",
+    ]
+    calls.clear()
+    code, out, _ = run_cli(*args, "--json")
+    data = json.loads(out)
+    assert code == 2 and data["rigid"] is False and data["first_non_rigid"] == 2
+
+
+@pytest.mark.parametrize("name,scale", [("E333", 1), ("E333", 2), ("E333", 3), ("E244", 2), ("E236", 2)])
+def test_polarisations_json_bytes_match_a_round_trip_per_polarisation(run_cli, name, scale):
+    # the same bytes as loading polarisation_to_json's text back for
+    # each entry, as the listing was once built
+    from artinflats.polarisation import iter_admissible, polarisation_to_json
+    from artinflats.tiling import TriangleType, scaled_patch
+
+    patch = scaled_patch(TriangleType[name], scale)
+    listed = [json.loads(polarisation_to_json(patch, l)) for l in iter_admissible(patch)]
+    for rigid in (False, True):
+        report = {
+            "type": name,
+            "lattice": [list(v) for v in patch.lattice],
+            "count": len(listed),
+            "rigid": True if rigid else None,
+            "polarisations": listed,
+        }
+        flags = ["--check-rigidity"] if rigid else []
+        code, out, _ = run_cli("polarisations", "--type", name, "--scale", str(scale), "--json", *flags)
+        assert code == 0 and out == json.dumps(report, indent=2) + "\n"
+
+
 def test_polarisations_on_square_quotients_that_fold_a_cell(run_cli):
     # the unit square meets one vertex twice on these quotients, so no
     # polarisation is admissible

@@ -16,7 +16,6 @@ import pytest
 from artinflats.polarisation import (
     RigidityError,
     case0_instances,
-    coverage,
     diagonal_vertices,
     e_translation,
     enumerate_admissible,
@@ -39,6 +38,7 @@ from artinflats.tiling import (
     standard_directions,
     validate_directions,
 )
+from helpers import coverage, reference_witnesses
 
 ADMISSIBLE_X1 = {"E333": 3, "E244": 8, "E236": 6}
 ADMISSIBLE_X2 = {"E333": 9, "E244": 36, "E236": 18}
@@ -286,6 +286,39 @@ def test_rigidity_witnesses_require_admissible(patch333):
     assert not is_admissible(patch333, broken)
     with pytest.raises(ValueError):
         rigidity_witnesses(patch333, broken)
+
+
+@pytest.mark.parametrize("name,scale", [(n, s) for n in ("E333", "E244", "E236") for s in (1, 2)])
+def test_rigidity_witnesses_match_the_cell_by_cell_reference(name, scale):
+    # the per-patch table against allowed classes intersected cell by
+    # cell and each translation checked on every cell's diagonal
+    patch = scaled_patch(TriangleType[name], scale)
+    admissible = enumerate_admissible(patch)
+    assert len(admissible) == ADMISSIBLE_BY_SCALE[name][scale - 1]
+    for l in admissible:
+        assert rigidity_witnesses(patch, l) == reference_witnesses(patch, l)
+
+
+@pytest.mark.parametrize("name", ["E333", "E244", "E236"])
+def test_rigidity_witnesses_refuse_malformed_polarisations(name):
+    # the exception and message the cell-by-cell check raised on each
+    patch = minimal_patch(TriangleType[name])
+    l = enumerate_admissible(patch)[0]
+    last = len(patch.cells) - 1
+    missing = {ci: d for ci, d in l.items() if ci != last}
+    extra = {**l, len(patch.cells): 0}
+    below = {**l, last: -1}
+    above = {**l, last: patch.cells[last].m}
+    rotated = {**l, 0: (l[0] + 1) % patch.cells[0].m}
+    for bad, match in [
+        (missing, "cover exactly the patch cells"),
+        (extra, "cover exactly the patch cells"),
+        (below, "diagonal index -1 out of range"),
+        (above, f"diagonal index {patch.cells[last].m} out of range"),
+        (rotated, "not admissible"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            rigidity_witnesses(patch, bad)
 
 
 def _agreeing(admissible, partial):
