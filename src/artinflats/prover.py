@@ -44,19 +44,20 @@ in one assembly that restores the joins of the starts, runs each
 certificate on its own span and freely reduces the ends.
 
 Search states are code strings, one code point per letter: letter
-(g, s) is chr(2*rank(g) + (s == 1)) with rank the generator's index in
-sorted order, so code strings sort like the letter tuples they spell
-and code c ^ 1 is the inverse of code c.  A string caches its hash and
-slices and joins in single copies, which keeps the search's seen-tests
-and successors cheap.  A transition only cancels at the junctions of
-the spliced-in window, and states are decoded back to letters only
-along a found chain.
+(g, s) is chr(2*rank(g) + (s == 1)), rank(g) found by bisecting the
+rule table's sorted generators, so code strings sort like the letter
+tuples they spell and code c ^ 1 is the inverse of code c.  A string
+caches its hash and slices and joins in single copies, which keeps the
+search's seen-tests and successors cheap.  A transition only cancels at
+the junctions of the spliced-in window, and states are decoded back to
+letters only along a found chain.
 """
 
 from __future__ import annotations
 
 import json
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -403,13 +404,17 @@ class Budget:
     max_len: int = 64
 
 
-def _search_letters(w: Word) -> tuple[Letter, ...]:
+def _search_letters(pres: ArtinPresentation, w: Word) -> tuple[Letter, ...]:
     """The letters of a word given to a search, freely reduced since a
     Word is syllable-reduced.  A word of more than MAX_CERT_LETTERS
-    letters raises WordTooLongError before it is expanded: replay would
-    refuse its certificate anyway."""
+    letters raises WordTooLongError before it is expanded, and one on
+    generators outside `pres` ValueError: replay would refuse either
+    certificate anyway."""
     if w.letter_length() > MAX_CERT_LETTERS:
         raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
+    foreign = sorted(set(w.generators_used()).difference(pres.generators))
+    if foreign:
+        raise ValueError(f"word uses generators {foreign} outside the presentation")
     return tuple(w.letters())
 
 
@@ -449,14 +454,14 @@ class _Rules:
     `pairs` holds, per finite pair in `finite_pairs` order, the pair,
     its window length m, a dict from each window u to the variants
     rewriting it, and per variant the code strings of v and of the
-    insert word u v^-1.  Letter codes are code points, so
-    `check_rule_table` refuses an alphabet of more than MAX_CODES letters.
+    insert word u v^-1.  Letter codes are code points, ranked by
+    bisecting `gens`, the sorted generator names; `check_rule_table`
+    refuses an alphabet of more than MAX_CODES letters.
     """
 
     def __init__(self, pres: ArtinPresentation):
         check_rule_table(pres)
-        self.letters = tuple((g, s) for g in sorted(pres.generators) for s in (-1, 1))
-        self.code = {letter: c for c, letter in enumerate(self.letters)}
+        self.gens = sorted(pres.generators)
         self.pairs = []
         for a, b in pres.finite_pairs():
             rules = relator_rules(pres, a, b)
@@ -468,10 +473,10 @@ class _Rules:
             self.pairs.append(((a, b), len(rules[0][0]), windows, variants))
 
     def encode(self, letters) -> str:
-        return "".join([chr(self.code[l]) for l in letters])
+        return "".join([chr(2 * bisect_left(self.gens, g) + (s == 1)) for g, s in letters])
 
     def decode(self, codes: str) -> tuple[Letter, ...]:
-        return tuple([self.letters[ord(c)] for c in codes])
+        return tuple([(self.gens[c >> 1], 1 if c & 1 else -1) for c in map(ord, codes)])
 
 
 @lru_cache(maxsize=64)
@@ -726,7 +731,7 @@ def prove_conjugation(
     Junction cancellations in g x g^-1 are handled by starting the move
     list with inserts that restore the unreduced layout, after which
     the conjugator is peeled letter by letter."""
-    gl, xl = _search_letters(g), _search_letters(x)
+    gl, xl = _search_letters(pres, g), _search_letters(pres, x)
     raw = gl + xl + _inv_word(gl)
     # Peel the conjugator from the inside: the word is
     # (g^-1)^-1 x (g^-1), so the chain argument is g^-1.
@@ -781,7 +786,7 @@ def conjugation_product(
 def prove_trivial(pres: ArtinPresentation, w: Word, budget: Budget = DEFAULT_BUDGET) -> Certificate | None:
     """Certificate rewriting w into the empty word, or None (which only
     ever means 'not found within budget', never 'nontrivial')."""
-    letters = _search_letters(w)
+    letters = _search_letters(pres, w)
     split = _find_commutator_split(letters)
     if split is not None:
         p, q = split
@@ -799,7 +804,7 @@ def prove_equal(pres: ArtinPresentation, u: Word, v: Word, budget: Budget = DEFA
 
     Tries the search ladder from u to v first; if that fails, proves
     u v^-1 trivial and places that certificate beside a fixed v."""
-    ul, vl = _search_letters(u), _search_letters(v)
+    ul, vl = _search_letters(pres, u), _search_letters(pres, v)
     moves = _search_ladder(pres, *_peel(ul, vl), vl, budget)
     if moves is not None:
         return Certificate(pres, u, v, moves)

@@ -310,7 +310,6 @@ class Patch:
         self.edge_by_step: dict[tuple[int, Vec], int] = {}
         self.cells: list[Cell] = []
         self.edge_cells: list[list[int]] = []
-        self._translations: dict[Vec, tuple[list[int], list[int]] | None] = {}
         # polarisation's rigidity table (e-translations, allowed classes,
         # diagonal masks and images), built on first use; it depends only
         # on the patch
@@ -454,30 +453,26 @@ class Patch:
         except KeyError:
             raise KeyError(f"translation {vec} does not preserve the vertex set")
 
-    def translate_cell(self, cell: Cell, vec: Vec) -> Cell:
-        mapped = [
-            self.edge_by_step[self.translate_vertex(v, vec), self.edges[ei].delta_from(v)]
-            for v, ei in zip(cell.vertices, cell.edges)
-        ]
-        common = set.intersection(*(set(self.edge_cells[ei]) for ei in mapped))
-        if len(common) != 1:
-            raise KeyError(f"translation {vec} does not act on cells")
-        return self.cells[common.pop()]
-
     def translation(self, vec: Vec) -> tuple[list[int], list[int]] | None:
         """The action of `vec` as (vertex map, cell map), each a list
         indexed by vertex or cell index; None when `vec` does not act on
-        the patch.  Computed once per vector and kept on the patch."""
-        if vec not in self._translations:
-            try:
-                action = (
-                    [self.translate_vertex(v, vec) for v in range(len(self.positions))],
-                    [self.translate_cell(cell, vec).index for cell in self.cells],
-                )
-            except KeyError:
-                action = None
-            self._translations[vec] = action
-        return self._translations[vec]
+        the patch.  A cell's image is the one cell that holds the images,
+        read through the vertex map, of all its edges."""
+        try:
+            vmap = [self.translate_vertex(v, vec) for v in range(len(self.positions))]
+            cmap = []
+            for cell in self.cells:
+                mapped = [
+                    self.edge_by_step[vmap[v], self.edges[ei].delta_from(v)]
+                    for v, ei in zip(cell.vertices, cell.edges)
+                ]
+                common = set.intersection(*(set(self.edge_cells[ei]) for ei in mapped))
+                if len(common) != 1:
+                    return None
+                cmap.append(common.pop())
+        except KeyError:
+            return None
+        return vmap, cmap
 
     def cell_lift(self, cell: Cell) -> list[Vec]:
         """Boundary vertex positions lifted coherently to the plane,

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -717,10 +718,23 @@ def test_searches_refuse_alphabets_beyond_the_code_points(run_cli, tmp_path, mon
     with monkeypatch.context() as patch:
         patch.setattr(prover, "MAX_CODES", 8)
         rules = _Rules(ArtinPresentation(["s", "t", "u", "v"], {("s", "t"): 3}))
-        assert len(rules.letters) == 8
+        assert rules.encode([("v", 1)]) == chr(7)
         with pytest.raises(WordTooLongError, match="more than 8 letter codes"):
             _Rules(ArtinPresentation(["s", "t", "u", "v", "w"], {("s", "t"): 3}))
     gens = ["s", "t"] + [f"g{i}" for i in range(MAX_CODES // 2 - 2)]
+    # exactly MAX_CODES // 2 generators are searched without a table per
+    # letter: the rule table holds one sorted list of their names
+    at = ArtinPresentation(gens, {("s", "t"): 3})
+    w = Word.parse("s1 t1 s1 t-1 s-1 t-1")
+    tracemalloc.start()
+    try:
+        cert = prove_trivial(at, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        prover._rule_table.cache_clear()  # it holds the presentation
+    assert replay(cert) and cert.start == w
+    assert peak < 16 * 2**20, peak
     over = ArtinPresentation(gens + ["h"], {("s", "t"): 3})
     with pytest.raises(WordTooLongError, match=f"more than {MAX_CODES} letter codes"):
         prove_trivial(over, Word.parse("s1 t1 s1 t-1 s-1 t-1"))
@@ -728,6 +742,22 @@ def test_searches_refuse_alphabets_beyond_the_code_points(run_cli, tmp_path, mon
     path.write_text(over.to_json())
     code, _, err = run_cli("prove", "--presentation", str(path), "--trivial", "s1 t1")
     assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_searches_refuse_foreign_generators(m3):
+    # a letter code comes from the generator's rank, which a generator
+    # outside the presentation does not have
+    u1, s1, u1s1 = Word.parse("u1"), Word.parse("s1"), Word.parse("u1 s1")
+    calls = [
+        lambda: prove_commutator(m3, u1, u1),
+        lambda: prove_conjugation(m3, u1, s1),
+        lambda: prove_trivial(m3, Word.parse("u1 s1 u-1 s-1")),
+        lambda: prove_equal(m3, u1, s1),
+        lambda: prove_equal(m3, u1s1, u1s1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"generators \['u'\] outside the presentation"):
+            call()
 
 
 def test_splice_cancels_through_an_emptied_middle(m3):
@@ -762,7 +792,7 @@ def test_letter_codes_sort_like_letters():
     rules = _Rules(FOUR)
     letters = [(g, s) for g in ("v", "t", "u", "s") for s in (1, -1)]
     assert [rules.decode((c,))[0] for c in sorted(rules.encode(letters))] == sorted(letters)
-    assert all(rules.code[(g, -s)] == rules.code[(g, s)] ^ 1 for g, s in letters)
+    assert all(ord(rules.encode([(g, -s)])) == ord(rules.encode([(g, s)])) ^ 1 for g, s in letters)
     rng = random.Random(5)
     words = [random_reduced(FOUR, rng, rng.randint(0, 6)) for _ in range(200)]
     assert [rules.decode(c) for c in sorted(rules.encode(w) for w in words)] == sorted(words)

@@ -449,8 +449,11 @@ def test_translation_matches_translate_vertex_and_cell():
             for rho in sorted(rhos) + [patch.lattice[0], (0, 0)]:
                 vmap, cmap = patch.translation(rho)
                 assert vmap == [patch.translate_vertex(v, rho) for v in range(len(patch.positions))]
-                assert cmap == [patch.translate_cell(c, rho).index for c in patch.cells]
-                assert patch.translation(rho) is patch.translation(rho)
+                # each cell goes to the cell on the images of its vertices
+                assert sorted(cmap) == list(range(len(patch.cells)))
+                for cell in patch.cells:
+                    image = patch.cells[cmap[cell.index]]
+                    assert set(image.vertices) == {vmap[v] for v in cell.vertices}
             # a vector outside the type-preserving lattice does not act
             assert patch.translation((1, 0)) is None
             with pytest.raises(KeyError):
