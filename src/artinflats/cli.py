@@ -10,7 +10,8 @@ Exit codes follow a fixed contract so sweeps can run under CI:
         above tiling.MAX_PARTIAL_ASSIGNMENTS, bad input files, output that
         cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
-    3   search budget exhausted
+    3   search budget exhausted, or a `prove --trivial`/`--equal` identity
+        refuted by the abelianisation (`refute`; the reason on stderr)
 
 Rendering uses exact lattice coordinates scaled by fixed integer
 factors, so re-rendering the same inputs is byte-identical.
@@ -33,7 +34,8 @@ from artinflats.polarisation import (
     rigidity_witnesses,
 )
 from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, check_rule_table, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.refute import refute
 from artinflats.subgroups import FAMILY_CASES, family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
     DirectionAssignment,
@@ -92,9 +94,9 @@ def _parse_word(text: str, pres: ArtinPresentation | None = None) -> Word:
     except ValueError as exc:
         raise UsageError(f"cannot parse word {text!r}: {exc}")
     if pres is not None:
-        for g in w.generators_used():
-            if g not in pres.generators:
-                raise UsageError(f"unknown generator {g!r} in word {text!r}")
+        unknown = sorted(set(w.generators_used()).difference(pres.generators))
+        if unknown:
+            raise UsageError(f"unknown generator {unknown[0]!r} in word {text!r}")
     return w
 
 
@@ -382,11 +384,18 @@ def cmd_prove(args) -> int:
     elif args.conjugation:
         g, x = (_parse_word(w, pres) for w in args.conjugation)
         cert = prove_conjugation(pres, g, x, budget)
-    elif args.equal:
-        u, v = (_parse_word(w, pres) for w in args.equal)
-        cert = prove_equal(pres, u, v, budget)
     else:
-        cert = prove_trivial(pres, _parse_word(args.trivial, pres), budget)
+        words = [_parse_word(w, pres) for w in args.equal or (args.trivial,)]
+        target = words[0] * words[1].inverse() if args.equal else words[0]
+        # exit 1 first, as the search would; a u v^-1 it cannot hold is left to it
+        if any(w.letter_length() > MAX_CERT_LETTERS for w in words):
+            raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
+        check_rule_table(pres)
+        found = refute(pres, target) if target.letter_length() <= MAX_CERT_LETTERS else None
+        if found is not None:
+            print(f"no certificate: not {'equal' if args.equal else 'trivial'}: {found}", file=sys.stderr)
+            return EXIT_BUDGET
+        cert = prove_equal(pres, *words, budget) if args.equal else prove_trivial(pres, words[0], budget)
     if cert is None:
         print("no certificate within budget", file=sys.stderr)
         return EXIT_BUDGET

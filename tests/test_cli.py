@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import artinflats
+from artinflats import cli
 from artinflats.cli import build_parser
 from artinflats.presentation import ArtinPresentation
 from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, V1_MAX_M, Budget, Certificate, ReplayError, replay
@@ -416,8 +417,44 @@ def test_prove_budget_exit(run_cli, pres_files):
 
 
 def test_prove_exhausts_the_default_budget_on_a_nontrivial_word(run_cli, pres_files):
-    code, _, err = run_cli("prove", "--presentation", pres_files["m3"], "--trivial", "s1 t1")
+    # exponent sum 0, so the abelianisation cannot refute it
+    word = "s1 t1 r1 s-1 t-1 r-1"
+    code, _, err = run_cli("prove", "--presentation", pres_files["e333"], "--trivial", word)
     assert code == 3 and "budget" in err
+
+
+def test_prove_refutes_a_word_by_its_abelianisation(run_cli, pres_files):
+    t0 = time.perf_counter()
+    code, out, err = run_cli("prove", "--presentation", pres_files["m3"], "--trivial", "s1 t1")
+    assert time.perf_counter() - t0 < 0.05
+    assert (code, out) == (3, "") and "not trivial" in err
+    assert err == "no certificate: not trivial: exponent sum 2 on the odd-m class of s\n"
+
+
+def test_prove_equal_refutes_u_v_inverse_only_by_its_abelianisation(run_cli, pres_files, tmp_path):
+    m4 = tmp_path / "m4.json"
+    m4.write_text(ArtinPresentation(("s", "t"), {("s", "t"): 4}).to_json())
+    code, out, err = run_cli("prove", "--presentation", str(m4), "--equal", "s1", "t1")
+    assert (code, out) == (3, "")
+    assert err == "no certificate: not equal: exponent sum 1 on the odd-m class of s\n"
+    # at m = 3, s and t are conjugate: s t^-1 sums to 0, so the search runs
+    code, out, err = run_cli(
+        "prove", "--presentation", pres_files["m3"], "--equal", "s1", "t1", "--max-states", "100"
+    )
+    assert (code, out, err) == (3, "", "no certificate within budget\n")
+
+
+def test_word_check_reads_each_generator_once(tmp_path):
+    # names without digits, so that a word can spell every one of them
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    names = ["".join(letters[i // 26**k % 26] for k in range(4)) for i in range(200_000)]
+    pres = ArtinPresentation(names)
+    text = " ".join(f"{g}1" for g in names[-400:])
+    t0 = time.perf_counter()
+    assert cli._parse_word(text, pres).generators_used() == tuple(sorted(names[-400:]))
+    assert time.perf_counter() - t0 < 0.05
+    with pytest.raises(cli.UsageError, match="unknown generator 'zzzzz'"):
+        cli._parse_word(text + " zzzzz1 zzzzzz1", pres)
 
 
 def test_oversized_words_are_usage_errors(run_cli, pres_files):
