@@ -4,11 +4,12 @@ enumeration, proof search and replay, and SVG rendering of patches.
 Exit codes follow a fixed contract so sweeps can run under CI:
 
     0   success
-    1   usage error (bad arguments, unparsable words, words too long to
-        search, normal forms too long to print, lattices that build no
-        patch or one above tiling.MAX_PATCH_INDEX, direction enumeration
-        above tiling.MAX_PARTIAL_ASSIGNMENTS, bad input files, output that
-        cannot be written, stdout closed by its reader)
+    1   usage error (bad arguments, words that do not parse, name a
+        non-generator or spell over 10^6 letters, rule tables too long
+        to search, normal forms too long to print, lattices that build
+        no patch or one above tiling.MAX_PATCH_INDEX, direction
+        enumeration above tiling.MAX_PARTIAL_ASSIGNMENTS, bad input
+        files, output that cannot be written, stdout closed by its reader)
     2   verification failure (invalid certificate, missing witness)
     3   search budget exhausted, or a `prove --trivial`/`--equal` identity
         refuted by the abelianisation (`refute`; the reason on stderr)
@@ -33,8 +34,8 @@ from artinflats.polarisation import (
     polarisation_to_dict,
     rigidity_witnesses,
 )
-from artinflats.presentation import ArtinPresentation, Word
-from artinflats.prover import DEFAULT_BUDGET, MAX_CERT_LETTERS, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, check_rule_table, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
+from artinflats.presentation import MAX_CERT_LETTERS, ArtinPresentation, Word
+from artinflats.prover import DEFAULT_BUDGET, Budget, Certificate, ReplayError, SearchBudgetError, WordTooLongError, check_rule_table, prove_commutator, prove_conjugation, prove_equal, prove_trivial, replay
 from artinflats.refute import refute
 from artinflats.subgroups import FAMILY_CASES, family, klein_composite, klein_pair, verify_abelian
 from artinflats.tiling import (
@@ -88,16 +89,11 @@ def _load_presentation(path: str) -> ArtinPresentation:
         raise UsageError(f"bad presentation file {path}: {exc}")
 
 
-def _parse_word(text: str, pres: ArtinPresentation | None = None) -> Word:
+def _parse_word(text: str, pres: ArtinPresentation) -> Word:
     try:
-        w = Word.parse(text)
+        return pres.parse_word(text)
     except ValueError as exc:
-        raise UsageError(f"cannot parse word {text!r}: {exc}")
-    if pres is not None:
-        unknown = sorted(set(w.generators_used()).difference(pres.generators))
-        if unknown:
-            raise UsageError(f"unknown generator {unknown[0]!r} in word {text!r}")
-    return w
+        raise UsageError(str(exc))
 
 
 def _build_patch(args) -> Patch:
@@ -139,8 +135,6 @@ def _emit(args, text: str) -> None:
 def cmd_normalize(args) -> int:
     pres = _load_presentation(args.presentation)
     word = _parse_word(args.word, pres)
-    if word.letter_length() > MAX_CERT_LETTERS:
-        raise UsageError(f"word has more than {MAX_CERT_LETTERS} letters")
     try:
         nf = dihedral.normal_form(pres, word)
     except ValueError as exc:
@@ -378,20 +372,18 @@ def cmd_render(args) -> int:
 def cmd_prove(args) -> int:
     pres = _load_presentation(args.presentation)
     budget = Budget(max_states=args.max_states, max_len=args.max_len)
+    words = [_parse_word(w, pres) for w in args.commutator or args.conjugation or args.equal or (args.trivial,)]
     if args.commutator:
-        a, b = (_parse_word(w, pres) for w in args.commutator)
-        cert = prove_commutator(pres, a, b, budget)
+        cert = prove_commutator(pres, *words, budget)
     elif args.conjugation:
-        g, x = (_parse_word(w, pres) for w in args.conjugation)
-        cert = prove_conjugation(pres, g, x, budget)
+        cert = prove_conjugation(pres, *words, budget)
     else:
-        words = [_parse_word(w, pres) for w in args.equal or (args.trivial,)]
         target = words[0] * words[1].inverse() if args.equal else words[0]
-        # exit 1 first, as the search would; a u v^-1 it cannot hold is left to it
-        if any(w.letter_length() > MAX_CERT_LETTERS for w in words):
-            raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
-        check_rule_table(pres)
-        found = refute(pres, target) if target.letter_length() <= MAX_CERT_LETTERS else None
+        check_rule_table(pres)  # exit 1 first, as the search would
+        try:
+            found = refute(pres, target)
+        except WordTooLongError:  # a u v^-1 too long to check is left to the search
+            found = None
         if found is not None:
             print(f"no certificate: not {'equal' if args.equal else 'trivial'}: {found}", file=sys.stderr)
             return EXIT_BUDGET
@@ -445,25 +437,20 @@ def _parse_exponents(text: str):
 
 def cmd_families(args) -> int:
     budget = Budget(max_states=args.max_states, max_len=args.max_len)
-    # Every given option goes to `family`, which refuses those the case
-    # does not take.
-    pres = _load_presentation(args.presentation) if args.presentation else None
-    words = {
-        "presentation": pres,
-        "left": _parse_word(args.left, pres) if args.left else None,
-        "right": _parse_word(args.right, pres) if args.right else None,
-    }
-    exps = _parse_exponents(args.exponents) if args.exponents else None
+    # `family` reads the words and refuses every option its case does not take
+    pres = None if args.presentation is None else _load_presentation(args.presentation)
+    given = {"presentation": pres, "left": args.left, "right": args.right}
+    exps = None if args.exponents is None else _parse_exponents(args.exponents)
     payload = {"case": args.case}
     if exps is not None:
         payload["exponents"] = exps
     try:
-        w1, w2 = family(args.case, exps, **words)
+        w1, w2 = family(args.case, exps, **given)
     except ValueError as exc:
         raise UsageError(str(exc))
     payload.update(w1=str(w1), w2=str(w2))
     if args.verify:
-        cert = verify_abelian(args.case, exps, budget=budget, **words)
+        cert = verify_abelian(args.case, exps, budget=budget, **given)
         if not replay(cert):
             print("commutator certificate FAILED to replay", file=sys.stderr)
             return EXIT_VERIFY

@@ -15,7 +15,8 @@ written once, here: `alternating` builds the alternating words and
 Words are kept in *syllable* form: maximal runs of a single generator
 are merged into one (generator, exponent) pair with a nonzero exponent.
 This canonical form makes free reduction idempotent and cyclic rotation
-well defined at the syllable level.
+well defined at the syllable level.  A word from outside enters through
+one reader, `ArtinPresentation.parse_word`, or one check, `check_word`.
 
 A `LanguageTemplate` is the language of a flat family's second
 generators: one or more factors g1^k1 tail1 g2^k2 tail2 ..., such as
@@ -38,6 +39,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 INFINITY = None
 
 ExponentValue = int | None  # int >= 2, or INFINITY (no relation)
+
+
+# Words read from outside or given to a search have at most this many
+# letters: expanded letter by letter, "s1000000000" would take gigabytes.
+MAX_CERT_LETTERS = 10**6
+
+
+class WordTooLongError(ValueError):
+    """A word from outside or for a search, or a rule table, is over MAX_CERT_LETTERS letters."""
 
 
 def _check_exponent(m: ExponentValue) -> ExponentValue:
@@ -161,6 +171,25 @@ class ArtinPresentation:
     def from_json(cls, text: str) -> "ArtinPresentation":
         return cls.from_dict(json.loads(text))
 
+    def parse_word(self, text: str) -> "Word":
+        """The word that `text`, such as "s2 t-1 r1", spells over these
+        generators.  Every token's generator is checked before reduction,
+        so a token on a non-generator is refused even at exponent 0."""
+        read: dict[str, Syllable] = {}
+        word = reduce(tokens(text, read))
+        return self.check_word(word, {g for g, _ in read.values()})
+
+    def check_word(self, word: "Word", names: Iterable[str] | None = None) -> "Word":
+        """`word`, admitted from outside: ValueError names the generators
+        outside this presentation among its own (or among `names`), and
+        WordTooLongError refuses more than MAX_CERT_LETTERS letters."""
+        foreign = sorted(set(word.generators_used() if names is None else names).difference(self._index))
+        if foreign:
+            raise ValueError(f"word uses generators {foreign} outside the presentation")
+        if word.letter_length() > MAX_CERT_LETTERS:
+            raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
+        return word
+
 
 class Syllable(NamedTuple):
     generator: str
@@ -178,24 +207,34 @@ def reduce(syllables: Iterable[tuple[str, int]]) -> "Word":
     zeros.  Idempotent: reducing a reduced word returns it unchanged."""
     # Stack invariant: adjacent entries always use distinct generators,
     # so a cancellation that empties the top re-exposes a valid top and
-    # one pass suffices (e.g. s t t^-1 s collapses to s^2).
+    # one pass suffices (e.g. s t t^-1 s collapses to s^2).  A Syllable
+    # that merges with nothing is kept, not rebuilt.
     out: list[Syllable] = []
-    for g, e in syllables:
+    for syl in syllables:
+        g, e = syl
         if out and out[-1][0] == g:
-            e += out.pop()[1]
-        if e:
-            out.append(Syllable(g, e))
+            syl = Syllable(g, e + out.pop()[1])
+        elif type(syl) is not Syllable:
+            syl = Syllable(g, e)
+        if syl[1]:
+            out.append(syl)
     return Word(out)
 
 
-def _pair(token: str) -> tuple[str, int]:
-    """The (generator, exponent) of a token such as "s2" or "t-1"."""
-    i = 0
-    while i < len(token) and not (token[i] == "-" or token[i].isdigit()):
-        i += 1
-    if i == 0 or i == len(token):
-        raise ValueError(f"bad syllable {token!r}")
-    return sys.intern(token[:i]), int(token[i:])
+_SYLLABLE = re.compile(r"([^\W\d]+)(-?[0-9]+)")
+
+
+def tokens(text: str, read: dict) -> Iterator[Syllable]:
+    """Each whitespace-separated token of `text` ("s2", "t-1": letters or
+    underscores, then an integer) as a Syllable, parsed once into `read`."""
+    for match in re.finditer(r"\S+", text):
+        token = match.group()
+        if token not in read:
+            parts = _SYLLABLE.fullmatch(token)
+            if parts is None:
+                raise ValueError(f"bad syllable {token!r}")
+            read[token] = Syllable(sys.intern(parts[1]), int(parts[2]))
+        yield read[token]
 
 
 class Word:
@@ -215,9 +254,8 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse the serialization format, e.g. "s2 t-1 r1" -> s^2 t^-1 r,
-        one token at a time, holding each generator name once."""
-        return reduce(_pair(match.group()) for match in re.finditer(r"\S+", text))
+        """Read "s2 t-1 r1" as s^2 t^-1 r, with no names to check against."""
+        return reduce(tokens(text, {}))
 
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.syllables)

@@ -22,8 +22,9 @@ search's table; they are converted to windows for m <= V1_MAX_M.
 The search works on freely reduced letter tuples.  A transition is a
 rule application or a whole-relator insertion followed by free
 reduction; each transition expands deterministically into elementary
-moves.  A word given to a search has at most MAX_CERT_LETTERS letters,
-and so has the rule table of each relator: 16 m^2 letters, so m <= 250.
+moves.  A word given to a search passes `ArtinPresentation.check_word`,
+so it has at most MAX_CERT_LETTERS letters (the cap `presentation`
+defines), and so has the rule table of each relator: 16 m^2, m <= 250.
 
 There is one best-first search, shortest word first.  From one root it
 stops at the first word no longer than a goal; from a (source, target)
@@ -61,7 +62,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from artinflats.presentation import ArtinPresentation, Word, balanced_rewrites
+from artinflats.presentation import MAX_CERT_LETTERS, ArtinPresentation, Word, WordTooLongError, balanced_rewrites, tokens
 
 Letter = tuple[str, int]  # (generator, +1 or -1)
 
@@ -70,11 +71,6 @@ CERTIFICATE_VERSION = 2
 
 class ReplayError(ValueError):
     """A certificate move failed validation."""
-
-
-class WordTooLongError(ValueError):
-    """A word given to a search, or the rule table of a relator, has more
-    than MAX_CERT_LETTERS letters."""
 
 
 class SearchBudgetError(RuntimeError):
@@ -97,16 +93,16 @@ def _strict(ok: bool, message: str) -> None:
 
 
 def _parse_window(text) -> tuple[Letter, ...]:
-    """Letters of a window string such as "s1 t-1 s1"."""
+    """Letters of a window string such as "s1 t-1 s1", read by `tokens`."""
     try:
-        syllables = Word.parse(text).syllables
+        letters = tuple(tokens(text, {}))
     except (TypeError, ValueError) as exc:
         raise ReplayError(f"bad relator window {text!r}: {exc}") from None
     _strict(
-        len(syllables) == len(text.split()) and all(e in (1, -1) for _, e in syllables),
+        Word.from_letters(letters).syllables == letters and all(e in (1, -1) for _, e in letters),
         f"relator window {text!r} is not a string of letters g1 or g-1",
     )
-    return syllables
+    return letters
 
 
 @dataclass(frozen=True)
@@ -172,11 +168,6 @@ def relator_rules(pres: ArtinPresentation, a: str, b: str) -> tuple[tuple[tuple[
 # Version 1 relator moves index the O(m^2) table `balanced_rewrites`,
 # which is built only up to this m when such a certificate is read.
 V1_MAX_M = 64
-
-# `from_json` refuses a start or end word longer than this, `replay` a
-# move that grows the word past it: replay expands words letter by
-# letter, so a few bytes such as "s1000000000" would ask for gigabytes.
-MAX_CERT_LETTERS = 10**6
 
 # A search spells each letter as one code point, so it takes a
 # presentation of at most this many letters g^1, g^-1: 557,056
@@ -285,13 +276,12 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         """Strictly parse a version 2 certificate, or a version 1 one
         whose relator moves are converted to windows (m <= V1_MAX_M).
-        Start and end words have at most MAX_CERT_LETTERS letters, all
-        on the presentation's generators."""
+        Start and end words are read by the presentation's `parse_word`."""
         try:
             data = json.loads(text)
             version, moves = data["version"], data["moves"]
             pres = ArtinPresentation.from_dict(data["presentation"])
-            start, end = (Word.parse(data[key]) for key in ("start", "end"))
+            start, end = (pres.parse_word(data[key]) for key in ("start", "end"))
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ReplayError(f"bad certificate: {exc!r}") from None
         _strict(
@@ -299,13 +289,6 @@ class Certificate:
             f"unsupported certificate version {version!r}",
         )
         _strict(isinstance(moves, list), "moves must be a list")
-        for key, word in (("start", start), ("end", end)):
-            _strict(
-                word.letter_length() <= MAX_CERT_LETTERS,
-                f"{key} word has more than {MAX_CERT_LETTERS} letters",
-            )
-            foreign = sorted(set(word.generators_used()) - set(pres.generators))
-            _strict(not foreign, f"{key} word uses generators {foreign} outside the presentation")
         v1 = pres if version == 1 else None
         return cls(pres, start, end, tuple(Move.from_dict(m, v1) for m in moves))
 
@@ -405,17 +388,9 @@ class Budget:
 
 
 def _search_letters(pres: ArtinPresentation, w: Word) -> tuple[Letter, ...]:
-    """The letters of a word given to a search, freely reduced since a
-    Word is syllable-reduced.  A word of more than MAX_CERT_LETTERS
-    letters raises WordTooLongError before it is expanded, and one on
-    generators outside `pres` ValueError: replay would refuse either
-    certificate anyway."""
-    if w.letter_length() > MAX_CERT_LETTERS:
-        raise WordTooLongError(f"word has more than {MAX_CERT_LETTERS} letters")
-    foreign = sorted(set(w.generators_used()).difference(pres.generators))
-    if foreign:
-        raise ValueError(f"word uses generators {foreign} outside the presentation")
-    return tuple(w.letters())
+    """The letters, freely reduced, of a word `pres.check_word` admits:
+    replay would refuse a certificate of a word it refuses."""
+    return tuple(pres.check_word(w).letters())
 
 
 def reduction_moves(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, ...], tuple[Move, ...]]:

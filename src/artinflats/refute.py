@@ -29,7 +29,9 @@ def refute(pres: ArtinPresentation, word: Word) -> Refutation | None:
     """The word's nonzero exponent sum on the class with the least
     representative, or None when every class sums to 0.  The union-find
     holds only the generators of odd-m pairs, so a presentation of many
-    generators and few relations costs its relations and the word."""
+    generators and few relations costs its relations and the word.  It
+    raises `pres.check_word`'s ValueError, as a search would."""
+    pres.check_word(word)
     parent: dict[str, str] = {}
 
     def find(g: str) -> str:

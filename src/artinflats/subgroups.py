@@ -37,15 +37,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from artinflats import prover
-from artinflats.presentation import ArtinPresentation, LanguageTemplate, Word
+from artinflats.presentation import MAX_CERT_LETTERS, ArtinPresentation, LanguageTemplate, Word, WordTooLongError
 from artinflats.prover import (
     DEFAULT_BUDGET,
     Budget,
     Certificate,
-    MAX_CERT_LETTERS,
     Move,
     SearchBudgetError,
-    WordTooLongError,
     check_rule_table,
     commutator_from_conjugation,
     compose_certificates,
@@ -141,9 +139,9 @@ def family(
     """Concrete generator pair for a flat family.
 
     Cases b-f take `exponents`: one entry per star factor, an int for
-    the one-power cases and a (k, l) pair for case c.  Case a takes
-    a presentation and the two words directly; the generator sets must
-    be disjoint with pairwise exponent 2 across them.
+    the one-power cases and a (k, l) pair for case c.  Case a takes a
+    presentation and the two words, which it reads or checks; the
+    generator sets must be disjoint with pairwise exponent 2 across them.
 
     Parameter choices whose exponent-sum vectors are linearly dependent
     are rejected: they cannot span a rank-two subgroup.
@@ -155,8 +153,8 @@ def family(
             raise ValueError("case 'a' takes words, not exponents")
         if presentation is None or left is None or right is None:
             raise ValueError("case 'a' needs presentation=, left=, right=")
-        w1 = Word.parse(left) if isinstance(left, str) else left
-        w2 = Word.parse(right) if isinstance(right, str) else right
+        w1 = presentation.parse_word(left) if isinstance(left, str) else presentation.check_word(left)
+        w2 = presentation.parse_word(right) if isinstance(right, str) else presentation.check_word(right)
         T, Tp = set(w1.generators_used()), set(w2.generators_used())
         if T & Tp:
             raise ValueError(f"generator sets overlap: {sorted(T & Tp)}")

@@ -49,7 +49,7 @@ def test_normalize(run_cli, pres_files):
 
 def test_normalize_errors(run_cli, pres_files):
     code, _, err = run_cli("normalize", "--presentation", pres_files["m3"], "s1 u1")
-    assert code == 1 and "unknown generator" in err
+    assert code == 1 and "word uses generators ['u'] outside the presentation" in err
     code, _, err = run_cli("normalize", "--presentation", pres_files["e333"], "s1 t1")
     assert code == 1
     code, _, err = run_cli("normalize", "--presentation", "/nonexistent.json", "s1")
@@ -374,6 +374,23 @@ def test_replay_rejects_generators_outside_the_presentation(run_cli, pres_files,
         assert code == 2 and "valid" not in out and "Traceback" not in err
 
 
+def test_a_foreign_token_is_refused_at_exponent_zero(run_cli, pres_files, tmp_path):
+    # g0 reduces away, but its token still names a generator m3 lacks
+    for argv in (
+        ("normalize", "--presentation", pres_files["m3"], "s1 g0 t1"),
+        ("prove", "--presentation", pres_files["m3"], "--trivial", "s0 g0"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "") and "generators ['g'] outside the presentation" in err, argv
+    pres = json.loads(Path(pres_files["m3"]).read_text())
+    bad = tmp_path / "g0.json"
+    bad.write_text(json.dumps({"version": 2, "presentation": pres, "start": "s1 g0 s-1", "end": "", "moves": []}))
+    with pytest.raises(ReplayError, match=r"generators \['g'\] outside the presentation"):
+        Certificate.from_json(bad.read_text())
+    code, out, err = run_cli("replay", str(bad))
+    assert code == 2 and "valid" not in out and "Traceback" not in err
+
+
 def test_prove_conjugation_and_equal(run_cli, pres_files, tmp_path):
     cert_file = tmp_path / "cert.json"
     # Delta^2 = (s t s)^2 is central, so it conjugates t to t
@@ -453,7 +470,7 @@ def test_word_check_reads_each_generator_once(tmp_path):
     t0 = time.perf_counter()
     assert cli._parse_word(text, pres).generators_used() == tuple(sorted(names[-400:]))
     assert time.perf_counter() - t0 < 0.05
-    with pytest.raises(cli.UsageError, match="unknown generator 'zzzzz'"):
+    with pytest.raises(cli.UsageError, match=r"word uses generators \['zzzzz', 'zzzzzz'\] outside the presentation"):
         cli._parse_word(text + " zzzzz1 zzzzzz1", pres)
 
 
@@ -505,6 +522,25 @@ def test_families(run_cli, pres_files, tmp_path):
     assert code == 0 and json.loads(out) == {"case": "a", "w1": "s1", "w2": "t2"}
     assert run_cli(*split, "--exponents", "1")[0] == 1
     assert run_cli("families", "--case", "a", "--presentation", str(m2), "--left", "s1")[0] == 1
+
+
+def test_families_refuses_an_empty_option_as_it_would_any_value(run_cli, tmp_path):
+    four = tmp_path / "four.json"
+    four.write_text(
+        ArtinPresentation(
+            ("s", "t", "u", "v"),
+            {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
+        ).to_json()
+    )
+    for argv, says in (
+        (("--case", "b", "--exponents", "1", "--left", ""), "parametrised by exponents only"),
+        (("--case", "b", "--exponents", "1", "--presentation", ""), "cannot read presentation file"),
+        # the empty word is read and given, so the pair is degenerate
+        (("--case", "a", "--presentation", str(four), "--left", "", "--right", "u1"), "degenerate"),
+    ):
+        result = run_cli("families", *argv)
+        _assert_usage_error(result)
+        assert says in result[2], argv
 
 
 def test_families_budget_exit(run_cli):

@@ -12,13 +12,16 @@ import pytest
 from artinflats import dihedral
 from artinflats.presentation import (
     INFINITY,
+    MAX_CERT_LETTERS,
     ArtinPresentation,
     LanguageTemplate,
     Syllable,
     Word,
+    WordTooLongError,
     balanced_rewrites,
     reduce,
 )
+from artinflats.prover import Move
 
 
 def test_parse_str_roundtrip():
@@ -32,6 +35,54 @@ def test_parse_rejects_garbage():
             Word.parse(bad)
     # a zero exponent is legal input and reduces away
     assert str(Word.parse("s0")) == ""
+
+
+# One token grammar: a name of letters or underscores, then an integer.
+GRAMMAR = [(token, False) for token in ("s+1", "+s1", "s1_000", "s--1", "s1t1", "s", "1", "s 1")]
+GRAMMAR += [("s01", True), ("_a1", True)]
+
+
+@pytest.mark.parametrize("token, accepted", GRAMMAR)
+def test_every_reader_keeps_one_grammar(token, accepted, run_cli, tmp_path):
+    pres = ArtinPresentation(("s", "_a"), {("s", "_a"): 3})
+    path = tmp_path / "pres.json"
+    path.write_text(pres.to_json())
+
+    def accepts(read) -> bool:
+        try:
+            read(token)
+        except ValueError:
+            return False
+        return True
+
+    verdicts = {
+        "Word.parse": accepts(Word.parse),
+        "parse_word": accepts(pres.parse_word),
+        "relator window": accepts(lambda t: Move.from_dict({"kind": "relator", "pos": 0, "from": t, "to": t})),
+        "normalize": run_cli("normalize", "--presentation", str(path), token)[0] == 0,
+    }
+    assert verdicts == dict.fromkeys(verdicts, accepted)
+
+
+def test_the_reader_checks_names_before_reduction(m3):
+    # a zero exponent reduces away, but its token still names a generator
+    assert Word.parse("s0") == Word() == m3.parse_word("s0 t0")
+    with pytest.raises(ValueError, match=r"generators \['g'\] outside the presentation"):
+        m3.parse_word("s0 g0")
+    assert m3.parse_word(f"s{MAX_CERT_LETTERS}").letter_length() == MAX_CERT_LETTERS
+    with pytest.raises(WordTooLongError, match=f"more than {MAX_CERT_LETTERS} letters"):
+        m3.parse_word(f"s{MAX_CERT_LETTERS} t1")
+    # a Word from a library caller gets the same check
+    assert m3.check_word(Word.parse("s1 t-1")) == Word.parse("s1 t-1")
+    with pytest.raises(ValueError, match=r"generators \['x'\] outside the presentation"):
+        m3.check_word(Word.parse("x1 s1"))
+
+
+def test_a_token_merging_with_nothing_keeps_its_one_syllable():
+    # 10^6 letters of "s1 t1" hold two Syllables, not 10^6
+    w = Word.parse("ab1 cd1 " * 3)
+    assert len({id(syl) for syl in w.syllables}) == 2
+    assert Word.parse("ab1 ab1 cd1").syllables == (("ab", 2), ("cd", 1))
 
 
 def test_a_syllable_is_a_named_pair():

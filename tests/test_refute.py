@@ -96,6 +96,12 @@ def test_witnesses_recheck_by_their_own_components(request, wide):
     assert refute(wide, Word.parse("a1 c-1 e3 a-3 b1 d-1")) is None
 
 
+def test_refute_refuses_foreign_generators(m3):
+    # x has no odd-m class in m3, so no class of x can be reported
+    with pytest.raises(ValueError, match=r"generators \['x'\] outside the presentation"):
+        refute(m3, Word.parse("x1"))
+
+
 def test_search_and_refutation_never_agree_on_a_word(request, run_cli, tmp_path):
     rng = random.Random(37)
     budget = Budget(max_states=300, max_len=24)

@@ -95,6 +95,17 @@ def test_family_case_a_requires_commuting_sides(e333):
         family("a", presentation=four, left=Word.parse("s1"), right=Word.parse("s1 v1"))
 
 
+def test_family_case_a_refuses_a_generator_outside_the_presentation():
+    # refused before m(x, u) is read, so a ValueError and not a KeyError
+    four = ArtinPresentation(
+        ("s", "t", "u", "v"),
+        {("s", "t"): 3, ("u", "v"): 4, ("s", "u"): 2, ("s", "v"): 2, ("t", "u"): 2, ("t", "v"): 2},
+    )
+    for left in ("x1", Word.parse("x1")):
+        with pytest.raises(ValueError, match=r"generators \['x'\] outside the presentation"):
+            family("a", presentation=four, left=left, right="u1")
+
+
 def test_abelianization_independent():
     gens = ("s", "t", "r")
     assert abelianization_independent(Word.parse("s1 t1"), Word.parse("t1 r1"), gens)
